@@ -263,8 +263,8 @@ grep -q "bloom guard: PASS" "$READ_PATH_OUT" || {
 grep -q "compression guard: PASS" "$READ_PATH_OUT"
 
 echo "==> streaming-scan smoke bench (parity + early-termination guards)"
-# Streaming must return exactly the materializing scan's rows, and a
-# LIMIT 10 consumer must stop block reads early (<20% of the full scan).
+# A full streaming drain must return exactly the rows loaded, and a
+# LIMIT 10 consumer must stop block reads early (<20% of the full drain).
 SCAN_STREAM_OUT="$SMOKE_DIR/scan_stream.txt"
 ./target/release/figures scan_stream --scale 0.1 --json "$SMOKE_DIR/bench" \
     | tee "$SCAN_STREAM_OUT"

@@ -1,9 +1,9 @@
 //! Micro-benchmarks for the key-value substrate: point writes (the
 //! "millions of updates per second" HBase property), range scans and
-//! parallel multi-range scans.
+//! multi-range streaming scans.
 
 use just_bench::harness::bench;
-use just_kvstore::{Store, StoreOptions};
+use just_kvstore::{ScanOptions, Store, StoreOptions};
 use std::hint::black_box;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -45,8 +45,11 @@ fn main() {
             (s, e)
         })
         .collect();
-    bench("kvstore/parallel_scan_16_ranges", || {
-        table.scan_ranges_parallel(black_box(&ranges)).unwrap()
+    bench("kvstore/multi_range_scan_16_ranges", || {
+        table
+            .scan_ranges_stream(black_box(ranges.clone()), ScanOptions::default())
+            .collect_entries()
+            .unwrap()
     });
     std::fs::remove_dir_all(&dir).ok();
 }

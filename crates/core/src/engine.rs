@@ -366,9 +366,7 @@ impl Engine {
         window: &Rect,
         predicate: SpatialPredicate,
     ) -> Result<Dataset> {
-        let t = self.table(table)?;
-        let rows = t.query(Some(window), None, predicate)?;
-        Ok(self.dataset_of(&t, rows))
+        self.collect(table, Some(window), None, predicate)
     }
 
     /// Spatio-temporal range query.
@@ -380,9 +378,7 @@ impl Engine {
         t_max: i64,
         predicate: SpatialPredicate,
     ) -> Result<Dataset> {
-        let t = self.table(table)?;
-        let rows = t.query(Some(window), Some((t_min, t_max)), predicate)?;
-        Ok(self.dataset_of(&t, rows))
+        self.collect(table, Some(window), Some((t_min, t_max)), predicate)
     }
 
     /// k-NN query (Algorithm 1). The returned dataset carries the table's
@@ -427,16 +423,35 @@ impl Engine {
         })
     }
 
-    /// Full scan (used by the SQL layer when no ST predicate applies).
+    /// Full scan.
     pub fn scan_all(&self, table: &str) -> Result<Dataset> {
-        let t = self.table(table)?;
-        let rows = t.scan_all()?;
-        Ok(self.dataset_of(&t, rows))
+        self.collect(table, None, None, SpatialPredicate::Intersects)
     }
 
-    fn dataset_of(&self, t: &StTable, rows: Vec<Row>) -> Dataset {
-        let columns = t.schema().fields().iter().map(|f| f.name.clone()).collect();
-        Dataset::new(columns, rows)
+    /// A [`Engine::query_stream`] drained into a dataset: the
+    /// materialized queries run the same pipeline JustQL does.
+    fn collect(
+        &self,
+        table: &str,
+        window: Option<&Rect>,
+        time: Option<(i64, i64)>,
+        predicate: SpatialPredicate,
+    ) -> Result<Dataset> {
+        let stream = self.query_stream(
+            table,
+            window,
+            time,
+            predicate,
+            None,
+            just_storage::ScanOptions::default(),
+        )?;
+        let columns = stream
+            .schema()
+            .fields()
+            .iter()
+            .map(|f| f.name.clone())
+            .collect();
+        Ok(Dataset::new(columns, stream.collect_rows()?))
     }
 
     // ------------------------------------------------------------------

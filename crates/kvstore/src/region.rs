@@ -66,7 +66,6 @@ use crate::error::{KvError, Result};
 use crate::ingest::{shard_of, IngestOptions, ShardedWal};
 use crate::maintenance::Kick;
 use crate::memtable::{MemTable, LATEST};
-use crate::merge::{merge_live, merge_versions};
 use crate::metrics::IoMetrics;
 use crate::scan::{MergeStream, ScanSource};
 use crate::sstable::{SsTable, SsTableBuilder, SstOptions};
@@ -140,15 +139,15 @@ pub struct RegionTrafficSnapshot {
     pub reads: u64,
     /// Puts and deletes accepted.
     pub writes: u64,
-    /// Value bytes returned by lookups plus entry bytes produced by
-    /// scans.
+    /// Value bytes returned by lookups plus live entry bytes produced by
+    /// scans (maintenance merges are not counted).
     pub bytes_read: u64,
     /// Key+value bytes accepted by writes.
     pub bytes_written: u64,
-    /// Scan calls (materializing and streaming) that touched this
-    /// region.
+    /// Scans that opened a merge over this region.
     pub scans: u64,
-    /// SSTable blocks decoded on behalf of streaming scans.
+    /// SSTable blocks decoded on behalf of scans (maintenance merges are
+    /// not counted).
     pub scan_blocks: u64,
 }
 
@@ -694,60 +693,24 @@ impl Region {
         out
     }
 
-    /// All live entries with `start <= key <= end`, in key order.
+    /// All live entries with `start <= key <= end`, in key order: a
+    /// drain of [`Region::scan_stream`].
     pub fn scan(&self, start: &[u8], end: &[u8]) -> Result<Vec<KvEntry>> {
-        self.scan_at(start, end, LATEST)
+        self.scan_stream(start, end).collect_live()
     }
 
-    /// Like [`Region::scan`], but as of snapshot sequence `snap`: the
-    /// result equals a serial execution that stopped right before
-    /// commit sequence `snap` was allocated.
-    pub fn scan_at(&self, start: &[u8], end: &[u8], snap: u64) -> Result<Vec<KvEntry>> {
-        if start > end {
-            return Ok(Vec::new());
-        }
-        self.traffic.record_scan();
-        let inner = self.inner.read();
-        let mut sources: Vec<Vec<BlockEntry>> =
-            Vec::with_capacity(inner.tables.len() + inner.frozen.len() + inner.held.len() + 1);
-        sources.push(self.active_source(start, end, snap));
-        for gen in inner.frozen.iter().rev() {
-            sources.push(Self::frozen_source(gen, start, end, snap));
-        }
-        for gen in inner.held.iter().rev() {
-            if gen.seq_ub > snap {
-                sources.push(Self::frozen_source(gen, start, end, snap));
-            }
-        }
-        for table in inner.tables.iter().rev() {
-            if !table.visible_at(snap) {
-                self.snapshot_skips.inc();
-                continue;
-            }
-            sources.push(table.scan(start, end)?);
-        }
-        let live = merge_live(sources);
-        self.traffic.record_scan_bytes(
-            live.iter()
-                .map(|e| (e.key.len() + e.value.len()) as u64)
-                .sum(),
-        );
-        Ok(live)
-    }
-
-    /// A streaming variant of [`Region::scan`]: snapshots the memtable
-    /// layers and the SSTable handles under a brief read lock, then
-    /// returns a pull-based merge that reads one block at a time as the
-    /// consumer advances. Tombstone shadowing and newest-wins semantics
-    /// are identical to the materializing scan.
+    /// Snapshots the memtable layers and the SSTable handles under a
+    /// brief read lock, then returns a pull-based merge that reads one
+    /// block at a time as the consumer advances.
     pub fn scan_stream(&self, start: &[u8], end: &[u8]) -> MergeStream {
         self.scan_stream_at(start, end, LATEST)
     }
 
-    /// Like [`Region::scan_stream`], but as of snapshot sequence `snap`
-    /// — the streaming twin of [`Region::scan_at`]. The stream stays
-    /// pinned to the layers captured here, so it keeps serving the same
-    /// cut even if the snapshot handle is dropped while streaming.
+    /// Like [`Region::scan_stream`], but as of snapshot sequence `snap`:
+    /// the merge equals a serial execution that stopped right before
+    /// commit sequence `snap` was allocated. The stream stays pinned to
+    /// the layers captured here, so it keeps serving the same cut even
+    /// if the snapshot handle is dropped while streaming.
     pub fn scan_stream_at(&self, start: &[u8], end: &[u8], snap: u64) -> MergeStream {
         if start > end {
             return MergeStream::empty();
@@ -778,11 +741,37 @@ impl Region {
                 table.clone(),
                 start,
                 end,
-                self.traffic.clone(),
+                Some(self.traffic.clone()),
             ));
         }
         drop(inner);
-        MergeStream::new(sources)
+        MergeStream::new(sources, Some(self.traffic.clone()))
+    }
+
+    /// A maintenance merge over whole SSTables (oldest first, as stored):
+    /// newest version per key, tombstones kept, charged to no region's
+    /// scan traffic. One block per input is in memory at a time.
+    fn merge_tables(tables: &[Arc<SsTable>]) -> MergeStream {
+        let sources = tables
+            .iter()
+            .rev()
+            .filter(|t| t.block_count() > 0)
+            .map(|t| ScanSource::sstable(t.clone(), &[], t.max_key(), None))
+            .collect();
+        MergeStream::new(sources, None)
+    }
+
+    /// An SSTable builder with this region's write settings, recording
+    /// `seq_limit` in the footer.
+    fn sst_builder(&self, path: &Path, seq_limit: u64) -> Result<SsTableBuilder> {
+        let mut builder = SsTableBuilder::create_opts(
+            path,
+            self.opts.sst.clone(),
+            self.metrics.clone(),
+            self.cache.clone(),
+        )?;
+        builder.set_seq_limit(seq_limit);
+        Ok(builder)
     }
 
     /// Freezes the active shards into a new immutable generation:
@@ -851,16 +840,10 @@ impl Region {
         // Shards partition the keyspace: unique keys, plain sort.
         entries.sort_unstable_by(|a, b| a.0.cmp(b.0));
         let build = (|| {
-            let mut builder = SsTableBuilder::create_opts(
-                &path,
-                self.opts.sst.clone(),
-                self.metrics.clone(),
-                self.cache.clone(),
-            )?;
             // The footer records the generation's sequence upper bound,
             // so snapshots older than the newest version in this file
             // know to skip it (and read the held generation instead).
-            builder.set_seq_limit(gen.seq_ub);
+            let mut builder = self.sst_builder(&path, gen.seq_ub)?;
             for (k, v) in &entries {
                 builder.add(k, *v)?;
             }
@@ -935,9 +918,9 @@ impl Region {
     }
 
     /// Merges SSTables into one file, dropping tombstones and shadowed
-    /// versions. The merge and rewrite run without any region lock —
-    /// writers are unaffected and scans keep serving from the old tables
-    /// until the brief final swap.
+    /// versions. The merge streams block by block into the new file and
+    /// runs without any region lock — writers are unaffected and scans
+    /// keep serving from the old tables until the brief final swap.
     ///
     /// Only the longest oldest-first prefix of tables that every open
     /// snapshot can already see (`seq_limit <=` the snapshot
@@ -968,11 +951,6 @@ impl Region {
             inner.tables[..k].to_vec()
         };
         let started = Instant::now();
-        let mut sources = Vec::with_capacity(tables.len());
-        for table in tables.iter().rev() {
-            sources.push(table.scan_all()?);
-        }
-        let merged = merge_versions(sources);
         let path = {
             let mut inner = self.inner.write();
             let id = inner.next_file_id;
@@ -980,19 +958,15 @@ impl Region {
             self.dir.join(format!("sst_{id:010}.sst"))
         };
         let build = (|| {
-            let mut builder = SsTableBuilder::create_opts(
+            let mut builder = self.sst_builder(
                 &path,
-                self.opts.sst.clone(),
-                self.metrics.clone(),
-                self.cache.clone(),
+                tables.iter().map(|t| t.seq_limit()).max().unwrap_or(0),
             )?;
-            builder.set_seq_limit(tables.iter().map(|t| t.seq_limit()).max().unwrap_or(0));
-            for e in &merged {
-                if let Some(v) = &e.value {
-                    // The prefix starts at the oldest table, so nothing
-                    // older exists: drop tombstones.
-                    builder.add(&e.key, Some(v))?;
-                }
+            // The prefix starts at the oldest table, so nothing older
+            // exists: drop tombstones.
+            let mut merged = Self::merge_tables(&tables);
+            while let Some(e) = merged.next_live()? {
+                builder.add(&e.key, Some(&e.value))?;
             }
             builder.finish()
         })();
@@ -1270,28 +1244,7 @@ impl Region {
             std::fs::remove_dir_all(d).ok();
             std::fs::create_dir_all(d)?;
         }
-        let base_limit = base.iter().map(|t| t.seq_limit()).max().unwrap_or(0);
-        let mut sources = Vec::with_capacity(base.len());
-        for t in base.iter().rev() {
-            sources.push(t.scan_all()?);
-        }
-        let merged = merge_versions(sources);
-        self.write_split_file(
-            left_dir,
-            0,
-            base_limit,
-            merged
-                .iter()
-                .filter(|e| e.key.as_slice() < split_key && e.value.is_some()),
-        )?;
-        self.write_split_file(
-            right_dir,
-            0,
-            base_limit,
-            merged
-                .iter()
-                .filter(|e| e.key.as_slice() >= split_key && e.value.is_some()),
-        )?;
+        self.write_daughters(&base, false, 0, left_dir, Some((right_dir, split_key)))?;
 
         // Phase 2 — sealed catch-up.
         self.seal();
@@ -1304,27 +1257,7 @@ impl Region {
             .filter(|t| !base_ids.contains(&t.file_id()))
             .cloned()
             .collect();
-        if !delta.is_empty() {
-            let delta_limit = delta.iter().map(|t| t.seq_limit()).max().unwrap_or(0);
-            let mut sources = Vec::with_capacity(delta.len());
-            for t in delta.iter().rev() {
-                sources.push(t.scan_all()?);
-            }
-            let merged = merge_versions(sources);
-            self.write_split_file(
-                left_dir,
-                1,
-                delta_limit,
-                merged.iter().filter(|e| e.key.as_slice() < split_key),
-            )?;
-            self.write_split_file(
-                right_dir,
-                1,
-                delta_limit,
-                merged.iter().filter(|e| e.key.as_slice() >= split_key),
-            )?;
-        }
-        Ok(())
+        self.write_daughters(&delta, true, 1, left_dir, Some((right_dir, split_key)))
     }
 
     /// Rewrites this region's complete contents as `dir/sst_<id>.sst`
@@ -1336,46 +1269,52 @@ impl Region {
         debug_assert!(self.is_sealed());
         self.flush()?;
         let tables: Vec<Arc<SsTable>> = self.inner.read().tables.clone();
-        let limit = tables.iter().map(|t| t.seq_limit()).max().unwrap_or(0);
-        let mut sources = Vec::with_capacity(tables.len());
-        for t in tables.iter().rev() {
-            sources.push(t.scan_all()?);
-        }
-        let merged = merge_versions(sources);
-        self.write_split_file(dir, id, limit, merged.iter().filter(|e| e.value.is_some()))
+        self.write_daughters(&tables, false, id, dir, None)
     }
 
-    /// Builds one daughter SSTable (skipped when `entries` is empty —
-    /// a daughter region opens fine with gaps in its file numbering).
-    fn write_split_file<'a>(
+    /// Streams one maintenance merge of `tables` into daughter SSTables
+    /// named `sst_<id>.sst`: keys below the split key go to `left`, the
+    /// rest to the `right` directory (everything goes left when `right`
+    /// is `None`). Tombstones are written only when `keep_tombstones`.
+    /// A daughter that receives no entry gets no file — a region opens
+    /// fine with gaps in its file numbering. On error the caller
+    /// discards the daughter directories.
+    fn write_daughters(
         &self,
-        dir: &Path,
+        tables: &[Arc<SsTable>],
+        keep_tombstones: bool,
         id: u64,
-        seq_limit: u64,
-        entries: impl Iterator<Item = &'a BlockEntry>,
+        left: &Path,
+        right: Option<(&Path, &[u8])>,
     ) -> Result<()> {
-        let mut entries = entries.peekable();
-        if entries.peek().is_none() {
-            return Ok(());
-        }
-        let path = dir.join(format!("sst_{id:010}.sst"));
-        let build = (|| {
-            let mut builder = SsTableBuilder::create_opts(
-                &path,
-                self.opts.sst.clone(),
-                self.metrics.clone(),
-                self.cache.clone(),
-            )?;
-            builder.set_seq_limit(seq_limit);
-            for e in entries {
-                builder.add(&e.key, e.value.as_deref())?;
+        let seq_limit = tables.iter().map(|t| t.seq_limit()).max().unwrap_or(0);
+        let mut merged = Self::merge_tables(tables);
+        let (mut dir, mut in_right) = (left, false);
+        let mut builder: Option<SsTableBuilder> = None;
+        while let Some(e) = merged.next_version()? {
+            if e.value.is_none() && !keep_tombstones {
+                continue;
             }
-            builder.finish().map(|_| ())
-        })();
-        if build.is_err() {
-            std::fs::remove_file(&path).ok();
+            if let Some((right_dir, split_key)) = right {
+                if !in_right && e.key.as_slice() >= split_key {
+                    // Keys arrive sorted: the left daughter is complete.
+                    (dir, in_right) = (right_dir, true);
+                    if let Some(b) = builder.take() {
+                        b.finish()?;
+                    }
+                }
+            }
+            if builder.is_none() {
+                let path = dir.join(format!("sst_{id:010}.sst"));
+                builder = Some(self.sst_builder(&path, seq_limit)?);
+            }
+            let b = builder.as_mut().expect("just created");
+            b.add(&e.key, e.value.as_deref())?;
         }
-        build
+        if let Some(b) = builder {
+            b.finish()?;
+        }
+        Ok(())
     }
 
     /// Replaces one WAL stream's backing file (fault-injection tests
@@ -1450,10 +1389,10 @@ impl Snapshot {
         self.region.get_at(key, self.seq)
     }
 
-    /// Materializing range scan at this snapshot (see
-    /// [`Region::scan_at`]).
+    /// All entries in `[start, end]` visible at this snapshot: a drain
+    /// of [`Snapshot::scan_stream`].
     pub fn scan(&self, start: &[u8], end: &[u8]) -> Result<Vec<KvEntry>> {
-        self.region.scan_at(start, end, self.seq)
+        self.scan_stream(start, end).collect_live()
     }
 
     /// Streaming range scan at this snapshot (see

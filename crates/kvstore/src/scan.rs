@@ -1,27 +1,34 @@
-//! Streaming, batch-at-a-time scans with cooperative cancellation.
+//! The store's one read pipeline: streaming, batch-at-a-time scans with
+//! cooperative cancellation. Every read of more than one key — user
+//! scans, the storage layer's refine pipeline, kNN rings — and every
+//! maintenance rewrite (compaction, region split and merge) goes through
+//! the types here:
 //!
-//! The materializing read path ([`crate::Table::scan_ranges_parallel`])
-//! collects every matching entry before the caller sees the first one —
-//! fine for aggregates, wasteful for `LIMIT k` or kNN probes that are
-//! satisfied after a handful of rows. This module is the pull-based
-//! alternative:
-//!
+//! - `SstRangeIter` is the only code that walks SSTable blocks for a
+//!   range: it decodes one block per refill, seeking the first.
+//! - [`MergeStream`] is the only k-way merge: a binary heap over one
+//!   region's layers (memtable snapshots, then one lazy block iterator
+//!   per SSTable), newest source winning each key. Its tombstone-keeping
+//!   pull feeds compaction, split and merge straight into an SSTable
+//!   builder; [`MergeStream::next_live`] filters tombstones out for
+//!   reads.
 //! - [`ScanStream`] walks a list of key ranges region by region and
 //!   yields bounded batches via [`ScanStream::next_batch`]; no more than
-//!   one batch plus one decoded block per source is ever in flight.
-//! - [`MergeStream`] is the per-region k-way merge: a binary heap over
-//!   the memtable snapshot and one lazy block iterator per SSTable,
-//!   reproducing the newest-wins / tombstone-shadowing semantics of
-//!   [`crate::Region::scan`] exactly, but reading each SSTable one block
-//!   at a time.
+//!   one batch plus one decoded block per source is ever in flight. The
+//!   materializing conveniences (`Table::scan`, `Region::scan`, ...) are
+//!   drains of these streams.
 //! - [`CancelToken`] lets a satisfied consumer stop the producer
 //!   mid-range: the stream re-checks the token between entries, so
 //!   cancellation halts disk IO within one block's worth of work.
 //!
 //! Every batch increments `just_kvstore_batches_emitted` and feeds the
-//! `just_kvstore_batch_bytes` histogram; a stream dropped before its
-//! ranges run dry counts one `just_kvstore_scan_early_terminations` —
-//! the observable signature of pushdown actually saving IO.
+//! `just_kvstore_batch_bytes` histogram; every pulled stream records one
+//! `just_kvstore_scan_latency_us` sample, from its first pull until it
+//! runs dry or is dropped. A stream dropped before its ranges run dry
+//! counts one `just_kvstore_scan_early_terminations` — the observable
+//! signature of pushdown actually saving IO. Region merges charge the
+//! live bytes they yield to the region's `bytes_read` (see
+//! [`crate::RegionTrafficSnapshot`]); maintenance merges charge nothing.
 //!
 //! ```
 //! use just_kvstore::{ScanOptions, Store, StoreOptions};
@@ -49,6 +56,7 @@ use std::cmp::Ordering;
 use std::collections::{BinaryHeap, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering as AtomicOrdering};
 use std::sync::Arc;
+use std::time::Instant;
 
 /// A shared flag a consumer sets to stop a [`ScanStream`] producer.
 ///
@@ -95,8 +103,9 @@ impl Default for ScanOptions {
     }
 }
 
-/// Lazy in-order iterator over one SSTable's entries in `[start, end]`,
-/// decoding one block per refill instead of the whole range.
+/// Lazy in-order iterator over one SSTable's entries in `[start, end]`
+/// (tombstones included), decoding one block per refill instead of the
+/// whole range.
 struct SstRangeIter {
     table: Arc<SsTable>,
     start: Vec<u8>,
@@ -108,20 +117,23 @@ struct SstRangeIter {
     first: bool,
     buffered: std::vec::IntoIter<BlockEntry>,
     done: bool,
-    /// Per-region attribution for every block this iterator decodes.
-    traffic: Arc<RegionTraffic>,
+    /// Region charged with every block this iterator decodes; `None`
+    /// for maintenance merges, which are not region scan traffic.
+    traffic: Option<Arc<RegionTraffic>>,
 }
 
 impl SstRangeIter {
-    fn new(table: Arc<SsTable>, start: &[u8], end: &[u8], traffic: Arc<RegionTraffic>) -> Self {
-        let done = if table.overlaps(start, end) {
-            false
-        } else {
-            // Pruned by the min/max fence: same accounting as the
-            // materializing scan.
+    fn new(
+        table: Arc<SsTable>,
+        start: &[u8],
+        end: &[u8],
+        traffic: Option<Arc<RegionTraffic>>,
+    ) -> Self {
+        let done = !table.overlaps(start, end);
+        if done {
+            // Pruned by the min/max fence: no block touched.
             table.metrics().record_index_skip();
-            true
-        };
+        }
         let next_block = if done { 0 } else { table.seek_block(start) };
         SstRangeIter {
             table,
@@ -153,7 +165,9 @@ impl SstRangeIter {
                 return Ok(None);
             }
             let block = self.table.read_block(self.next_block, self.first)?;
-            self.traffic.record_scan_block();
+            if let Some(traffic) = &self.traffic {
+                traffic.record_scan_block();
+            }
             let entries: Vec<BlockEntry> = if self.first {
                 block.seek_iter(&self.start).collect()
             } else {
@@ -173,7 +187,8 @@ enum SourceKind {
 }
 
 /// One sorted input of a [`MergeStream`] — a memtable snapshot or a lazy
-/// SSTable range iterator. Constructed by [`Region::scan_stream`].
+/// SSTable range iterator. Constructed by [`Region::scan_stream`] and by
+/// region maintenance.
 pub struct ScanSource(SourceKind);
 
 impl ScanSource {
@@ -185,7 +200,7 @@ impl ScanSource {
         table: Arc<SsTable>,
         start: &[u8],
         end: &[u8],
-        traffic: Arc<RegionTraffic>,
+        traffic: Option<Arc<RegionTraffic>>,
     ) -> Self {
         ScanSource(SourceKind::Sst(SstRangeIter::new(
             table, start, end, traffic,
@@ -214,8 +229,7 @@ impl Eq for HeapItem {}
 impl Ord for HeapItem {
     fn cmp(&self, other: &Self) -> Ordering {
         // Reverse for a min-heap on (key, source): the smallest key wins,
-        // ties broken by newest (lowest) source index — identical to
-        // `crate::merge::merge_versions`.
+        // ties broken by newest (lowest) source index.
         other
             .entry
             .key
@@ -229,65 +243,102 @@ impl PartialOrd for HeapItem {
     }
 }
 
-/// A pull-based k-way merge over one region's layers (memtable newest,
-/// then SSTables newest→oldest), yielding live entries in key order with
-/// newest-wins shadowing and tombstone elision — the streaming twin of
-/// the internal `merge::merge_live`.
+/// A pull-based k-way merge over sorted sources, newest first (a
+/// region's memtable, then its SSTables newest→oldest). Each key yields
+/// its newest version only.
+///
+/// [`MergeStream::next_live`] is the read pull (tombstones elided);
+/// region maintenance uses a tombstone-keeping pull to rewrite SSTables.
 pub struct MergeStream {
     sources: Vec<ScanSource>,
     heap: BinaryHeap<HeapItem>,
-    last_key: Option<Vec<u8>>,
     /// The heap is primed on first pull, not at construction, so
     /// building a stream does no IO (and a cancelled-before-start
     /// stream never touches disk).
     primed: bool,
+    /// Region charged with the live bytes this merge yields, on drop;
+    /// `None` for maintenance merges.
+    traffic: Option<Arc<RegionTraffic>>,
+    live_bytes: u64,
 }
 
 impl MergeStream {
-    pub(crate) fn new(sources: Vec<ScanSource>) -> Self {
+    pub(crate) fn new(sources: Vec<ScanSource>, traffic: Option<Arc<RegionTraffic>>) -> Self {
         MergeStream {
             sources,
             heap: BinaryHeap::new(),
-            last_key: None,
             primed: false,
+            traffic,
+            live_bytes: 0,
         }
     }
 
     pub(crate) fn empty() -> Self {
-        Self::new(Vec::new())
+        Self::new(Vec::new(), None)
     }
 
-    /// The next live entry, or `None` when the region range is drained.
-    pub fn next_live(&mut self) -> Result<Option<KvEntry>> {
+    fn advance(&mut self, source: usize) -> Result<()> {
+        if let Some(entry) = self.sources[source].next()? {
+            self.heap.push(HeapItem { entry, source });
+        }
+        Ok(())
+    }
+
+    /// The newest version of the next key — a tombstone surfaces as
+    /// `value: None` — or `None` when every source is drained.
+    pub(crate) fn next_version(&mut self) -> Result<Option<BlockEntry>> {
         if !self.primed {
             self.primed = true;
             for i in 0..self.sources.len() {
-                if let Some(entry) = self.sources[i].next()? {
-                    self.heap.push(HeapItem { entry, source: i });
-                }
+                self.advance(i)?;
             }
         }
-        while let Some(top) = self.heap.pop() {
-            if let Some(entry) = self.sources[top.source].next()? {
-                self.heap.push(HeapItem {
-                    entry,
-                    source: top.source,
-                });
-            }
-            if self.last_key.as_deref() == Some(top.entry.key.as_slice()) {
-                // A newer source already emitted (or shadowed) this key.
-                continue;
-            }
-            self.last_key = Some(top.entry.key.clone());
-            if let Some(value) = top.entry.value {
+        let Some(top) = self.heap.pop() else {
+            return Ok(None);
+        };
+        self.advance(top.source)?;
+        // Sources hold unique sorted keys, so every older version of this
+        // key is a source head right now, next in heap order: drop them.
+        while self
+            .heap
+            .peek()
+            .is_some_and(|h| h.entry.key == top.entry.key)
+        {
+            let shadowed = self.heap.pop().expect("peeked");
+            self.advance(shadowed.source)?;
+        }
+        Ok(Some(top.entry))
+    }
+
+    /// The next live entry, or `None` when the merge is drained.
+    pub fn next_live(&mut self) -> Result<Option<KvEntry>> {
+        while let Some(entry) = self.next_version()? {
+            if let Some(value) = entry.value {
+                self.live_bytes += (entry.key.len() + value.len()) as u64;
                 return Ok(Some(KvEntry {
-                    key: top.entry.key,
+                    key: entry.key,
                     value,
                 }));
             }
-            // Tombstone: the key is dead, keep draining.
         }
         Ok(None)
+    }
+
+    /// Drains every remaining live entry.
+    pub fn collect_live(mut self) -> Result<Vec<KvEntry>> {
+        let mut out = Vec::new();
+        while let Some(entry) = self.next_live()? {
+            out.push(entry);
+        }
+        Ok(out)
+    }
+}
+
+impl Drop for MergeStream {
+    fn drop(&mut self) {
+        if let Some(traffic) = &self.traffic {
+            traffic.record_scan_bytes(self.live_bytes);
+        }
     }
 }
 
@@ -297,9 +348,8 @@ pub(crate) type PendingRange = (Arc<Region>, Vec<u8>, Vec<u8>, u64);
 /// A streaming multi-range scan over a [`crate::Table`].
 ///
 /// Ranges are visited in the order given (entries within a range in key
-/// order, matching [`crate::Table::scan_ranges_parallel`]'s output
 /// order); regions within a range are visited low to high, which is key
-/// order because regions partition by leading byte. Construction does no
+/// order because the region map partitions the keyspace. Construction does no
 /// IO — the first block is read when the first batch is pulled.
 ///
 /// Dropping the stream before it runs dry (or cancelling its token)
@@ -321,9 +371,10 @@ pub struct ScanStream {
     _pins: Vec<Arc<Snapshot>>,
     /// Ran dry naturally — distinguishes exhaustion from early drop.
     exhausted: bool,
-    /// Produced at least one pull; a stream that was never used is not
-    /// an "early termination" in any meaningful sense.
-    pulled: bool,
+    /// When the first pull happened. A stream that was never pulled
+    /// records no latency and is not an "early termination" in any
+    /// meaningful sense.
+    started: Option<Instant>,
 }
 
 impl ScanStream {
@@ -349,7 +400,7 @@ impl ScanStream {
             metrics,
             _pins: pins,
             exhausted: false,
-            pulled: false,
+            started: None,
         }
     }
 
@@ -365,7 +416,7 @@ impl ScanStream {
         if self.exhausted {
             return Ok(None);
         }
-        self.pulled = true;
+        let started = *self.started.get_or_insert_with(Instant::now);
         let mut batch = Vec::with_capacity(self.batch_rows);
         let mut bytes = 0u64;
         while batch.len() < self.batch_rows {
@@ -381,6 +432,7 @@ impl ScanStream {
                     }
                     None => {
                         self.exhausted = true;
+                        self.metrics.record_scan_latency(started.elapsed());
                         break;
                     }
                 },
@@ -399,12 +451,127 @@ impl ScanStream {
         self.metrics.record_batch_emitted(bytes);
         Ok(Some(batch))
     }
+
+    /// Drains every remaining entry into one vector.
+    pub fn collect_entries(mut self) -> Result<Vec<KvEntry>> {
+        let mut out = Vec::new();
+        while let Some(batch) = self.next_batch()? {
+            out.extend(batch);
+        }
+        Ok(out)
+    }
 }
 
 impl Drop for ScanStream {
     fn drop(&mut self) {
-        if self.pulled && !self.exhausted {
+        if let (Some(started), false) = (self.started, self.exhausted) {
             self.metrics.record_scan_early_termination();
+            self.metrics.record_scan_latency(started.elapsed());
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn e(key: &str, value: Option<&str>) -> BlockEntry {
+        BlockEntry {
+            key: key.as_bytes().to_vec(),
+            value: value.map(|v| v.as_bytes().to_vec()),
+        }
+    }
+
+    /// A merge over in-memory sources, newest first.
+    fn merge(sources: Vec<Vec<BlockEntry>>) -> MergeStream {
+        MergeStream::new(sources.into_iter().map(ScanSource::mem).collect(), None)
+    }
+
+    fn versions(mut m: MergeStream) -> Vec<BlockEntry> {
+        let mut out = Vec::new();
+        while let Some(entry) = m.next_version().unwrap() {
+            out.push(entry);
+        }
+        out
+    }
+
+    #[test]
+    fn newest_version_wins() {
+        let newest = vec![e("a", Some("new")), e("c", Some("c1"))];
+        let oldest = vec![e("a", Some("old")), e("b", Some("b0"))];
+        let merged = merge(vec![newest, oldest]).collect_live().unwrap();
+        assert_eq!(merged.len(), 3);
+        assert_eq!(merged[0].value, b"new");
+        assert_eq!(merged[1].key, b"b");
+        assert_eq!(merged[2].key, b"c");
+    }
+
+    #[test]
+    fn tombstones_shadow_older_values() {
+        let newest = vec![e("a", None)];
+        let oldest = vec![e("a", Some("old")), e("b", Some("b0"))];
+        let merged = merge(vec![newest, oldest]).collect_live().unwrap();
+        assert_eq!(merged.len(), 1);
+        assert_eq!(merged[0].key, b"b");
+    }
+
+    #[test]
+    fn tombstones_kept_by_next_version() {
+        let newest = vec![e("a", None), e("c", Some("c1"))];
+        let middle = vec![e("a", Some("mid")), e("b", None)];
+        let oldest = vec![e("a", Some("old")), e("b", Some("b0"))];
+        assert_eq!(
+            versions(merge(vec![newest, middle, oldest])),
+            vec![e("a", None), e("b", None), e("c", Some("c1"))]
+        );
+    }
+
+    #[test]
+    fn three_way_interleave_stays_sorted() {
+        let s0 = vec![e("b", Some("0"))];
+        let s1 = vec![e("a", Some("1")), e("d", Some("1"))];
+        let s2 = vec![e("c", Some("2")), e("e", Some("2"))];
+        let keys: Vec<Vec<u8>> = merge(vec![s0, s1, s2])
+            .collect_live()
+            .unwrap()
+            .into_iter()
+            .map(|x| x.key)
+            .collect();
+        assert_eq!(
+            keys,
+            vec![
+                b"a".to_vec(),
+                b"b".to_vec(),
+                b"c".to_vec(),
+                b"d".to_vec(),
+                b"e".to_vec()
+            ]
+        );
+    }
+
+    #[test]
+    fn empty_sources() {
+        assert!(merge(vec![]).collect_live().unwrap().is_empty());
+        assert!(merge(vec![vec![], vec![]])
+            .collect_live()
+            .unwrap()
+            .is_empty());
+        assert!(versions(merge(vec![vec![], vec![]])).is_empty());
+    }
+
+    #[test]
+    fn live_bytes_are_charged_to_the_region_on_drop() {
+        let traffic = Arc::new(RegionTraffic::default());
+        let sources = vec![
+            ScanSource::mem(vec![e("a", Some("12")), e("b", None)]),
+            ScanSource::mem(vec![e("b", Some("dead")), e("c", Some("3"))]),
+        ];
+        let mut m = MergeStream::new(sources, Some(traffic.clone()));
+        assert_eq!(m.next_live().unwrap().unwrap().key, b"a");
+        assert_eq!(traffic.snapshot().bytes_read, 0, "charged once, on drop");
+        assert_eq!(m.next_live().unwrap().unwrap().key, b"c");
+        drop(m);
+        // "a"+"12" and "c"+"3": the shadowed and deleted "b" cost nothing.
+        assert_eq!(traffic.snapshot().bytes_read, 5);
     }
 }

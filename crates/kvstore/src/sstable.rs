@@ -37,7 +37,7 @@
 //! [`crate::IoMetrics`]; the [`crate::BlockCache`] stores *decompressed*
 //! block bytes, so a hot block pays decompression exactly once.
 
-use crate::block::{Block, BlockBuilder, BlockEntry, BlockFormat};
+use crate::block::{Block, BlockBuilder, BlockFormat};
 use crate::bloom::{bloom_hash, BloomFilter};
 use crate::cache::{next_file_id, BlockCache};
 use crate::error::{KvError, Result};
@@ -538,8 +538,18 @@ impl SsTable {
             *pos = end;
             Ok(s)
         };
-        let count = u64::from_le_bytes(take(&mut pos, 8)?.try_into().unwrap()) as usize;
-        let mut blocks = Vec::with_capacity(count);
+        let count = u64::from_le_bytes(take(&mut pos, 8)?.try_into().unwrap());
+        // Every block entry takes at least 20 index bytes (klen, offset,
+        // len, crc), so a count the remaining bytes cannot hold is
+        // corrupt — and must not size an allocation.
+        if count > ((index.len() - pos) / 20) as u64 {
+            return Err(KvError::Corrupt(format!(
+                "{}: index claims {count} blocks in {} bytes",
+                path.display(),
+                index.len() - pos
+            )));
+        }
+        let mut blocks = Vec::with_capacity(count as usize);
         for _ in 0..count {
             let klen = u32::from_le_bytes(take(&mut pos, 4)?.try_into().unwrap()) as usize;
             let first_key = take(&mut pos, klen)?.to_vec();
@@ -700,6 +710,11 @@ impl SsTable {
         &self.blocks[idx].first_key
     }
 
+    /// Largest key in the table (empty for an empty table).
+    pub(crate) fn max_key(&self) -> &[u8] {
+        &self.max_key
+    }
+
     /// Index of the first block that could contain `key`.
     pub(crate) fn seek_block(&self, key: &[u8]) -> usize {
         // partition_point: number of blocks whose first_key <= key.
@@ -707,42 +722,6 @@ impl SsTable {
             .blocks
             .partition_point(|b| b.first_key.as_slice() <= key);
         n.saturating_sub(1)
-    }
-
-    /// Collects all entries with `start <= key <= end` (tombstones
-    /// included, so callers can apply shadowing).
-    pub fn scan(&self, start: &[u8], end: &[u8]) -> Result<Vec<BlockEntry>> {
-        let mut out = Vec::new();
-        if !self.overlaps(start, end) {
-            // Pruned by the min/max key fence: no block touched.
-            self.metrics.record_index_skip();
-            return Ok(out);
-        }
-        let mut idx = self.seek_block(start);
-        let mut first = true;
-        while idx < self.blocks.len() {
-            if self.blocks[idx].first_key.as_slice() > end {
-                break;
-            }
-            let block = self.read_block(idx, first)?;
-            // The first block positions via restart binary search; later
-            // blocks start past `start` by construction, so seek from
-            // their beginning.
-            let entries = if first {
-                block.seek_iter(start)
-            } else {
-                block.iter()
-            };
-            first = false;
-            for entry in entries {
-                if entry.key.as_slice() > end {
-                    return Ok(out);
-                }
-                out.push(entry);
-            }
-            idx += 1;
-        }
-        Ok(out)
     }
 
     /// Point lookup (tombstones surface as `Some(None)`).
@@ -767,21 +746,25 @@ impl SsTable {
         }
         Ok(None)
     }
-
-    /// Every entry in the table, in order (used by compaction).
-    pub fn scan_all(&self) -> Result<Vec<BlockEntry>> {
-        let mut out = Vec::with_capacity(self.entry_count as usize);
-        for idx in 0..self.blocks.len() {
-            let block = self.read_block(idx, idx == 0)?;
-            out.extend(block.iter());
-        }
-        Ok(out)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::block::BlockEntry;
+    use crate::scan::{MergeStream, ScanSource};
+
+    /// Every entry of `t` in `[start, end]`, tombstones included, through
+    /// the scan pipeline's block walk.
+    fn scan(t: &Arc<SsTable>, start: &[u8], end: &[u8]) -> Result<Vec<BlockEntry>> {
+        let source = ScanSource::sstable(t.clone(), start, end, None);
+        let mut merge = MergeStream::new(vec![source], None);
+        let mut out = Vec::new();
+        while let Some(entry) = merge.next_version()? {
+            out.push(entry);
+        }
+        Ok(out)
+    }
 
     fn tmpdir(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("just-sst-{name}-{}", std::process::id()));
@@ -789,7 +772,7 @@ mod tests {
         dir
     }
 
-    fn build_opts(dir: &Path, n: u32, opts: SstOptions) -> SsTable {
+    fn build_opts(dir: &Path, n: u32, opts: SstOptions) -> Arc<SsTable> {
         let metrics = Arc::new(IoMetrics::new());
         let mut b = SsTableBuilder::create_opts(
             &dir.join("t.sst"),
@@ -803,10 +786,10 @@ mod tests {
             let val = format!("value-{i}");
             b.add(key.as_bytes(), Some(val.as_bytes())).unwrap();
         }
-        b.finish().unwrap()
+        Arc::new(b.finish().unwrap())
     }
 
-    fn build(dir: &Path, n: u32) -> SsTable {
+    fn build(dir: &Path, n: u32) -> Arc<SsTable> {
         build_opts(
             dir,
             n,
@@ -860,7 +843,7 @@ mod tests {
             let dir = tmpdir(&format!("scan-{label}"));
             let t = build_opts(&dir, 1000, opts);
             assert_eq!(t.entry_count(), 1000, "{label}");
-            let hits = t.scan(b"key-000100", b"key-000199").unwrap();
+            let hits = scan(&t, b"key-000100", b"key-000199").unwrap();
             assert_eq!(hits.len(), 100, "{label}");
             assert_eq!(hits[0].key, b"key-000100");
             assert_eq!(hits[99].key, b"key-000199");
@@ -873,14 +856,14 @@ mod tests {
         let dir = tmpdir("edges");
         let t = build(&dir, 50);
         // Before all keys.
-        assert!(t.scan(b"a", b"b").unwrap().is_empty());
+        assert!(scan(&t, b"a", b"b").unwrap().is_empty());
         // After all keys.
-        assert!(t.scan(b"z", b"zz").unwrap().is_empty());
+        assert!(scan(&t, b"z", b"zz").unwrap().is_empty());
         // Exact single key.
-        let hits = t.scan(b"key-000007", b"key-000007").unwrap();
+        let hits = scan(&t, b"key-000007", b"key-000007").unwrap();
         assert_eq!(hits.len(), 1);
         // Full cover.
-        assert_eq!(t.scan(b"", b"\xff\xff").unwrap().len(), 50);
+        assert_eq!(scan(&t, b"", b"\xff\xff").unwrap().len(), 50);
         std::fs::remove_dir_all(dir).ok();
     }
 
@@ -951,7 +934,7 @@ mod tests {
     fn compressed_tables_use_fewer_blocks() {
         // Compressible values: the adaptive packer should fit several
         // uncompressed-block-sizes worth of entries per on-disk block.
-        let build_var = |dir: &Path, codec: Codec| -> (SsTable, Arc<IoMetrics>) {
+        let build_var = |dir: &Path, codec: Codec| -> (Arc<SsTable>, Arc<IoMetrics>) {
             let metrics = Arc::new(IoMetrics::new());
             let mut b = SsTableBuilder::create_opts(
                 &dir.join(format!("t-{codec}.sst")),
@@ -973,7 +956,7 @@ mod tests {
                 );
                 b.add(key.as_bytes(), Some(val.as_bytes())).unwrap();
             }
-            (b.finish().unwrap(), metrics)
+            (Arc::new(b.finish().unwrap()), metrics)
         };
         let dir = tmpdir("fewer-blocks");
         let (plain, m_plain) = build_var(&dir, Codec::None);
@@ -981,8 +964,8 @@ mod tests {
         assert!(zipped.file_size() < plain.file_size());
         m_plain.reset();
         m_zip.reset();
-        let a = plain.scan(b"", b"\xff\xff").unwrap();
-        let b = zipped.scan(b"", b"\xff\xff").unwrap();
+        let a = scan(&plain, b"", b"\xff\xff").unwrap();
+        let b = scan(&zipped, b"", b"\xff\xff").unwrap();
         assert_eq!(a, b, "same data back");
         let plain_blocks = m_plain.snapshot().blocks_read;
         let zip_blocks = m_zip.snapshot().blocks_read;
@@ -1000,9 +983,9 @@ mod tests {
         let mut b = SsTableBuilder::create(&dir.join("t.sst"), 256, metrics).unwrap();
         b.add(b"a", Some(b"1")).unwrap();
         b.add(b"b", None).unwrap();
-        let t = b.finish().unwrap();
+        let t = Arc::new(b.finish().unwrap());
         assert_eq!(t.get(b"b").unwrap(), Some(None));
-        let all = t.scan_all().unwrap();
+        let all = scan(&t, b"", b"\xff").unwrap();
         assert_eq!(all.len(), 2);
         assert_eq!(all[1].value, None);
         std::fs::remove_dir_all(dir).ok();
@@ -1024,7 +1007,7 @@ mod tests {
         // Positional reads share no cursor: hammer one table from many
         // threads and check every scan returns the full, correct range.
         let dir = tmpdir("concurrent");
-        let t = Arc::new(build(&dir, 2000));
+        let t = build(&dir, 2000);
         let threads: Vec<_> = (0..8)
             .map(|i| {
                 let t = t.clone();
@@ -1032,7 +1015,7 @@ mod tests {
                     for _ in 0..20 {
                         let lo = format!("key-{:06}", i * 100);
                         let hi = format!("key-{:06}", i * 100 + 99);
-                        let hits = t.scan(lo.as_bytes(), hi.as_bytes()).unwrap();
+                        let hits = scan(&t, lo.as_bytes(), hi.as_bytes()).unwrap();
                         assert_eq!(hits.len(), 100);
                         assert_eq!(hits[0].key, lo.as_bytes());
                         let got = t.get(format!("key-{:06}", i * 7).as_bytes()).unwrap();
@@ -1056,12 +1039,12 @@ mod tests {
             b.add(format!("k{i:05}").as_bytes(), Some(&[0u8; 64]))
                 .unwrap();
         }
-        let t = b.finish().unwrap();
+        let t = Arc::new(b.finish().unwrap());
         let before = metrics.snapshot();
-        t.scan(b"k00000", b"k00010").unwrap();
+        scan(&t, b"k00000", b"k00010").unwrap();
         let narrow = metrics.snapshot().since(&before);
         let before = metrics.snapshot();
-        t.scan(b"k00000", b"k00499").unwrap();
+        scan(&t, b"k00000", b"k00499").unwrap();
         let wide = metrics.snapshot().since(&before);
         assert!(narrow.blocks_read >= 1);
         assert!(
@@ -1083,9 +1066,9 @@ mod tests {
             bytes[10] ^= 0xff;
             std::fs::write(&path, &bytes).unwrap();
             let metrics = Arc::new(IoMetrics::new());
-            let t = SsTable::open(&path, metrics).unwrap();
+            let t = Arc::new(SsTable::open(&path, metrics).unwrap());
             assert!(
-                matches!(t.scan(b"", b"\xff\xff"), Err(KvError::Corrupt(_))),
+                matches!(scan(&t, b"", b"\xff\xff"), Err(KvError::Corrupt(_))),
                 "{label}"
             );
             std::fs::remove_dir_all(dir).ok();
@@ -1097,9 +1080,9 @@ mod tests {
         let dir = tmpdir("empty");
         let metrics = Arc::new(IoMetrics::new());
         let b = SsTableBuilder::create(&dir.join("t.sst"), 256, metrics).unwrap();
-        let t = b.finish().unwrap();
+        let t = Arc::new(b.finish().unwrap());
         assert_eq!(t.entry_count(), 0);
-        assert!(t.scan(b"", b"\xff").unwrap().is_empty());
+        assert!(scan(&t, b"", b"\xff").unwrap().is_empty());
         assert_eq!(t.get(b"x").unwrap(), None);
         std::fs::remove_dir_all(dir).ok();
     }
@@ -1123,14 +1106,14 @@ mod tests {
         drop(t);
         let bytes = std::fs::read(&path).unwrap();
         assert_eq!(&bytes[bytes.len() - 8..], MAGIC_V1);
-        let t = SsTable::open(&path, Arc::new(IoMetrics::new())).unwrap();
+        let t = Arc::new(SsTable::open(&path, Arc::new(IoMetrics::new())).unwrap());
         assert_eq!(t.format(), BlockFormat::V1);
         assert!(!t.has_bloom());
         assert_eq!(
             t.get(b"key-000123").unwrap(),
             Some(Some(b"value-123".to_vec()))
         );
-        assert_eq!(t.scan(b"", b"\xff\xff").unwrap().len(), 300);
+        assert_eq!(scan(&t, b"", b"\xff\xff").unwrap().len(), 300);
         std::fs::remove_dir_all(dir).ok();
     }
 
@@ -1158,5 +1141,53 @@ mod tests {
         assert!(!t.visible_at(12344));
         assert_eq!(t.get(b"k0007").unwrap(), Some(Some(b"v".to_vec())));
         std::fs::remove_dir_all(dir).ok();
+    }
+
+    /// Rewrites a v3 file's footer as the v2 footer (same layout minus
+    /// `seq_limit`), so the v2 reader path gets a file too.
+    fn downgrade_to_v2(bytes: &[u8]) -> Vec<u8> {
+        let (body, footer) = bytes.split_at(bytes.len() - FOOTER_V3);
+        let mut out = body.to_vec();
+        out.extend_from_slice(&footer[..24]);
+        out.push(footer[32]);
+        out.extend_from_slice(MAGIC_V2);
+        out
+    }
+
+    #[test]
+    fn corrupt_block_count_is_a_typed_error() {
+        for (label, opts) in all_variants() {
+            let dir = tmpdir(&format!("count-{label}"));
+            let t = build_opts(&dir, 200, opts);
+            let path = t.path().to_path_buf();
+            drop(t);
+            let v3 = std::fs::read(&path).unwrap();
+            let mut files = vec![(label.to_string(), v3.clone())];
+            if &v3[v3.len() - 8..] == MAGIC_V3 {
+                files.push((format!("{label} as v2"), downgrade_to_v2(&v3)));
+            }
+            for (name, mut bytes) in files {
+                std::fs::write(&path, &bytes).unwrap();
+                let intact = SsTable::open(&path, Arc::new(IoMetrics::new()));
+                assert!(intact.is_ok(), "{name}: {intact:?}");
+                // Every footer starts with the index offset; the index
+                // starts with the u64 block count. Flip its top byte.
+                let footer = match &bytes[bytes.len() - 8..] {
+                    m if m == MAGIC_V1 => FOOTER_V1,
+                    m if m == MAGIC_V2 => FOOTER_V2,
+                    _ => FOOTER_V3,
+                };
+                let at = bytes.len() - footer;
+                let index_offset = u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap());
+                bytes[index_offset as usize + 7] ^= 0xff;
+                std::fs::write(&path, &bytes).unwrap();
+                let opened = SsTable::open(&path, Arc::new(IoMetrics::new()));
+                assert!(
+                    matches!(opened, Err(KvError::Corrupt(_))),
+                    "{name}: {opened:?}"
+                );
+            }
+            std::fs::remove_dir_all(dir).ok();
+        }
     }
 }

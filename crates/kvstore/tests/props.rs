@@ -52,7 +52,6 @@ fn store_matches_btreemap_model() {
             StoreOptions {
                 flush_threshold: 512, // tiny: force frequent flushes
                 block_size: 128,
-                scan_threads: 2,
                 block_cache_bytes: 1 << 20,
                 ..StoreOptions::default()
             },
@@ -104,12 +103,12 @@ fn store_matches_btreemap_model() {
 }
 
 #[test]
-fn scan_stream_matches_materializing_scan() {
-    // The streaming merge must be byte-identical to the materializing
-    // scan across arbitrary memtable/SSTable overlaps, shadowed updates
-    // and deletes — same generator as the model test above, but the
-    // subject under test is `scan_stream` with a tiny batch size so
-    // every batch boundary lands mid-merge.
+fn scan_stream_matches_btreemap_model() {
+    // The streaming merge must equal the sorted-map model across
+    // arbitrary memtable/SSTable overlaps, shadowed updates and deletes
+    // — same generator as the model test above, but the subject under
+    // test is `scan_stream` with a tiny batch size so every batch
+    // boundary lands mid-merge.
     for case in 0u64..64 {
         let mut rng = Rng::seed_from_u64(0x7374_7265 ^ case);
         let n_ops = rng.gen_range(1usize..120);
@@ -124,17 +123,23 @@ fn scan_stream_matches_materializing_scan() {
             StoreOptions {
                 flush_threshold: 512,
                 block_size: 128,
-                scan_threads: 2,
                 block_cache_bytes: 1 << 20,
                 ..StoreOptions::default()
             },
         )
         .unwrap();
         let table = store.create_table("t", 4).unwrap();
+        let mut model: BTreeMap<Vec<u8>, Vec<u8>> = BTreeMap::new();
         for op in &ops {
             match op {
-                Op::Put(k, v) => table.put(k.clone(), v.clone()).unwrap(),
-                Op::Delete(k) => table.delete(k.clone()).unwrap(),
+                Op::Put(k, v) => {
+                    table.put(k.clone(), v.clone()).unwrap();
+                    model.insert(k.clone(), v.clone());
+                }
+                Op::Delete(k) => {
+                    table.delete(k.clone()).unwrap();
+                    model.remove(k);
+                }
                 Op::Flush => table.flush().unwrap(),
                 Op::Compact => table.compact().unwrap(),
             }
@@ -145,7 +150,10 @@ fn scan_stream_matches_materializing_scan() {
         } else {
             (scan_b, scan_a)
         };
-        let expected = table.scan(&lo, &hi).unwrap();
+        let expected: Vec<(Vec<u8>, Vec<u8>)> = model
+            .range::<Vec<u8>, _>(lo.clone()..=hi.clone())
+            .map(|(k, v)| (k.clone(), v.clone()))
+            .collect();
         let mut stream = table.scan_stream(
             &lo,
             &hi,
@@ -157,7 +165,7 @@ fn scan_stream_matches_materializing_scan() {
         let mut streamed = Vec::new();
         while let Some(batch) = stream.next_batch().unwrap() {
             assert!(batch.len() <= 7, "case {case}: oversized batch");
-            streamed.extend(batch);
+            streamed.extend(batch.into_iter().map(|e| (e.key, e.value)));
         }
         assert_eq!(streamed, expected, "case {case}");
         std::fs::remove_dir_all(&dir).ok();

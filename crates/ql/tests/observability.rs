@@ -284,3 +284,51 @@ fn query_tracking_can_be_disabled() {
     worker.join().unwrap().unwrap();
     std::fs::remove_dir_all(dir).ok();
 }
+
+#[test]
+fn select_feeds_scan_latency_and_region_bytes_read() {
+    // Both numbers are recorded by the scan pipeline itself, so a JustQL
+    // SELECT (which streams) must move them — not only the kvstore's
+    // materializing convenience scans.
+    let (engine, dir) = engine_with("scan-metrics", EngineConfig::default());
+    let mut c = client_for(&engine, "obs");
+    setup_points(&mut c, 300);
+    let region_bytes_read = |c: &mut Client| -> i64 {
+        let r = c.execute("SHOW REGIONS").unwrap();
+        let r = r.dataset().unwrap();
+        let col = r.columns.iter().position(|c| c == "bytes_read").unwrap();
+        r.rows
+            .iter()
+            .map(|row| match row.values[col] {
+                Value::Int(v) => v,
+                _ => 0,
+            })
+            .sum()
+    };
+    let scan_latency_samples = || {
+        engine
+            .metrics()
+            .get_histogram("just_kvstore_scan_latency_us")
+            .map(|h| h.count())
+            .unwrap_or(0)
+    };
+    let bytes_before = region_bytes_read(&mut c);
+    let samples_before = scan_latency_samples();
+    let rows = c
+        .execute("SELECT fid FROM pts WHERE geom WITHIN st_makeMBR(115.9, 38.9, 116.2, 39.2)")
+        .unwrap()
+        .into_dataset()
+        .unwrap()
+        .rows
+        .len();
+    assert_eq!(rows, 300);
+    assert!(
+        scan_latency_samples() > samples_before,
+        "the SELECT's scan streams must record scan latency"
+    );
+    assert!(
+        region_bytes_read(&mut c) > bytes_before,
+        "the SELECT's region merges must charge bytes_read"
+    );
+    std::fs::remove_dir_all(dir).ok();
+}

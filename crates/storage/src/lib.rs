@@ -13,14 +13,15 @@
 //! * [`StTable`] — an indexed table: insert/update/delete records, run
 //!   spatial and spatio-temporal range scans with exact post-filtering.
 //!
-//! Queries come in two shapes. [`StTable::query`] materializes every
-//! matching row. [`StTable::query_stream`] returns a [`QueryStream`] that
-//! yields bounded batches and pushes the work down: the exact
+//! Every query runs one pipeline: [`StTable::query_stream`] (or
+//! [`StTable::scan_all_stream`]) returns a [`QueryStream`] that yields
+//! bounded batches and pushes the work down: the exact
 //! spatial/temporal predicate is checked against a cheap partial decode
 //! (rejected rows are never fully decoded — counted by
 //! `just_storage_rows_pruned_pushdown`), a column projection skips
 //! decoding unwanted fields, and dropping or cancelling the stream stops
-//! the underlying block reads mid-scan.
+//! the underlying block reads mid-scan. Callers that want every row
+//! drain it with [`QueryStream::collect_rows`].
 
 #![deny(missing_docs)]
 

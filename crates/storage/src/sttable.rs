@@ -24,9 +24,9 @@ struct IndexObs {
     /// Rows surviving decode + exact spatial/temporal filtering.
     rows_matched: just_obs::Counter,
     /// Rows rejected by the pushed-down exact predicate *before* their
-    /// non-index fields were decoded (streaming path only).
+    /// non-index fields were decoded.
     rows_pruned: just_obs::Counter,
-    /// End-to-end `StTable::query` latency.
+    /// [`QueryStream`] latency, from construction until it runs dry.
     query_latency: just_obs::Histogram,
 }
 
@@ -459,27 +459,12 @@ impl StTable {
         Some((plan, scan_table))
     }
 
-    /// Plans and scans a query window, returning the raw key-value
-    /// entries without decoding or exact filtering. The k-NN expansion
-    /// uses this to deduplicate candidates by key before paying for row
-    /// decode (and GPS-list decompression).
-    pub fn query_raw(
-        &self,
-        spatial: Option<&Rect>,
-        time: Option<(i64, i64)>,
-    ) -> Result<Vec<just_kvstore::KvEntry>> {
-        let Some((plan, scan_table)) = self.plan_scan(spatial, time) else {
-            return Ok(Vec::new());
-        };
-        let entries = scan_table.scan_ranges_parallel(&plan.ranges)?;
-        index_obs().keys_scanned.add(entries.len() as u64);
-        Ok(entries)
-    }
-
-    /// Streaming variant of [`StTable::query_raw`]: the planned ranges
-    /// are scanned lazily, one bounded batch at a time. The k-NN ring
-    /// expansion pulls from this and stops as soon as its candidate heap
-    /// is provably complete, leaving the rest of the ring unread.
+    /// Plans a query window and scans its key ranges lazily, one bounded
+    /// batch of raw key-value entries at a time — no decode, no exact
+    /// filtering. The k-NN ring expansion pulls from this, deduplicates
+    /// candidates by key before paying for row decode (and GPS-list
+    /// decompression), and stops as soon as its candidate heap is
+    /// provably complete, leaving the rest of the ring unread.
     pub fn query_raw_stream(
         &self,
         spatial: Option<&Rect>,
@@ -493,62 +478,18 @@ impl StTable {
         RawQueryStream { inner }
     }
 
-    /// Decodes one raw entry from [`StTable::query_raw`].
+    /// Decodes one raw entry from [`StTable::query_raw_stream`].
     pub fn decode_entry(&self, entry: &just_kvstore::KvEntry) -> Result<Row> {
         Row::decode(&self.schema, &entry.value)
     }
 
-    /// Executes a spatial / spatio-temporal range query: plan key ranges,
-    /// scan them in parallel, decode and post-filter exactly.
-    pub fn query(
-        &self,
-        spatial: Option<&Rect>,
-        time: Option<(i64, i64)>,
-        predicate: SpatialPredicate,
-    ) -> Result<Vec<Row>> {
-        // Spatial-only queries use the secondary spatial index when the
-        // primary is temporal (Table III's dual-index setting) — one set
-        // of ranges instead of a fan-out across every time period; open
-        // time windows on the temporal primary clamp to the observed data
-        // bounds. Both live in query_raw.
-        let started = std::time::Instant::now();
-        let entries = self.query_raw(spatial, time)?;
-        // No window, nothing to refine: skip the per-row meta extraction
-        // (fid canonicalisation + geometry reconstruction) entirely.
-        let filtering = spatial.is_some() || time.is_some();
-        let mut rows = Vec::with_capacity(entries.len());
-        for e in entries {
-            let row = Row::decode(&self.schema, &e.value)?;
-            if filtering {
-                let meta = self.meta_of(&row)?;
-                if let Some(rect) = spatial {
-                    let ok = match (&meta.geom, predicate) {
-                        (None, _) => false,
-                        (Some(g), SpatialPredicate::Intersects) => g.intersects_rect(rect),
-                        (Some(g), SpatialPredicate::Within) => g.within_rect(rect),
-                    };
-                    if !ok {
-                        continue;
-                    }
-                }
-                if let Some((t_min, t_max)) = time {
-                    if meta.t_max < t_min || meta.t_min > t_max {
-                        continue;
-                    }
-                }
-            }
-            rows.push(row);
-        }
-        let obs = index_obs();
-        obs.rows_matched.add(rows.len() as u64);
-        obs.query_latency.record_duration(started.elapsed());
-        Ok(rows)
-    }
-
-    /// Streaming variant of [`StTable::query`] with predicate and
-    /// projection pushdown — the refine step of the paper's query
-    /// algorithm, applied per batch instead of after a full
-    /// materialisation.
+    /// Executes a spatial / spatio-temporal range query: plans key
+    /// ranges (spatial-only queries on a temporal primary use the
+    /// secondary spatial index — Table III's dual-index setting — and
+    /// open time windows clamp to the observed data bounds), scans them
+    /// and refines each batch with predicate and projection pushdown —
+    /// the refine step of the paper's query algorithm, applied per batch
+    /// instead of after a full materialisation.
     ///
     /// Per entry the stream decodes only the index-relevant fields
     /// ([`Row::decode_masked`]), applies the exact spatial/temporal
@@ -576,8 +517,8 @@ impl StTable {
         self.build_stream(inner, spatial, time, predicate, projection)
     }
 
-    /// Streaming variant of [`StTable::scan_all`]: every record, decoded
-    /// batch by batch (with optional projection pushdown).
+    /// Every record, decoded batch by batch (with optional projection
+    /// pushdown).
     pub fn scan_all_stream(
         &self,
         projection: Option<&[usize]>,
@@ -649,16 +590,6 @@ impl StTable {
         }
     }
 
-    /// Every record in the table.
-    pub fn scan_all(&self) -> Result<Vec<Row>> {
-        // Stop short of the reserved 0xff-prefixed meta keys.
-        let entries = self.data.scan(&[0u8], &[0xfeu8; 80])?;
-        entries
-            .into_iter()
-            .map(|e| Row::decode(&self.schema, &e.value))
-            .collect()
-    }
-
     /// Flushes memtables to disk.
     pub fn flush(&self) -> Result<()> {
         self.data.flush()?;
@@ -724,9 +655,9 @@ impl RawQueryStream {
     }
 }
 
-/// A streaming [`StTable::query`]: refined rows, one bounded batch at a
-/// time, with the exact predicate and the column projection pushed into
-/// the per-batch decode. Built by [`StTable::query_stream`] /
+/// A range query's refined rows, one bounded batch at a time, with the
+/// exact predicate and the column projection pushed into the per-batch
+/// decode. Built by [`StTable::query_stream`] /
 /// [`StTable::scan_all_stream`]; self-contained (owns a schema clone),
 /// so it can be threaded through sessions without borrowing the table.
 pub struct QueryStream {
@@ -736,8 +667,7 @@ pub struct QueryStream {
     time: Option<(i64, i64)>,
     predicate: SpatialPredicate,
     /// Whether any exact predicate is active (otherwise the meta phase
-    /// is skipped wholesale — the streaming twin of the `query()` fast
-    /// path).
+    /// is skipped wholesale: no window, nothing to refine).
     filtering: bool,
     /// Index-relevant fields (id, geometry, time): decoded first.
     meta_mask: Vec<bool>,
@@ -819,6 +749,17 @@ impl QueryStream {
             // empty batch.
         }
     }
+
+    /// Drains every remaining refined row into one vector — how the
+    /// materialized query APIs (`Engine::spatial_range`, `st_range`,
+    /// `scan_all`) run the streaming pipeline.
+    pub fn collect_rows(mut self) -> Result<Vec<Row>> {
+        let mut rows = Vec::new();
+        while let Some(batch) = self.next_batch()? {
+            rows.extend(batch);
+        }
+        Ok(rows)
+    }
 }
 
 #[cfg(test)]
@@ -839,6 +780,24 @@ mod tests {
         ));
         std::fs::remove_dir_all(&dir).ok();
         (Store::open(&dir, StoreOptions::default()).unwrap(), dir)
+    }
+
+    /// A range query drained to completion.
+    fn query(
+        t: &StTable,
+        spatial: Option<&Rect>,
+        time: Option<(i64, i64)>,
+        predicate: SpatialPredicate,
+    ) -> Vec<Row> {
+        t.query_stream(spatial, time, predicate, None, Default::default())
+            .collect_rows()
+            .unwrap()
+    }
+
+    fn scan_all(t: &StTable) -> Vec<Row> {
+        t.scan_all_stream(None, Default::default())
+            .collect_rows()
+            .unwrap()
     }
 
     fn order_schema() -> Schema {
@@ -871,13 +830,12 @@ mod tests {
         }
         // Spatial window covering the first two columns, first 12 hours.
         let window = Rect::new(115.995, 38.995, 116.015, 39.095);
-        let hits = t
-            .query(
-                Some(&window),
-                Some((0, 12 * HOUR_MS)),
-                SpatialPredicate::Within,
-            )
-            .unwrap();
+        let hits = query(
+            &t,
+            Some(&window),
+            Some((0, 12 * HOUR_MS)),
+            SpatialPredicate::Within,
+        );
         assert!(!hits.is_empty());
         for row in &hits {
             let m = t.meta_of(row).unwrap();
@@ -885,9 +843,7 @@ mod tests {
             assert!(m.t_min <= 12 * HOUR_MS);
         }
         // Exhaustive check against a full scan.
-        let brute: usize = t
-            .scan_all()
-            .unwrap()
+        let brute: usize = scan_all(&t)
             .iter()
             .filter(|r| {
                 let m = t.meta_of(r).unwrap();
@@ -899,7 +855,7 @@ mod tests {
     }
 
     #[test]
-    fn query_stream_matches_materializing_query() {
+    fn query_stream_matches_brute_force() {
         let (s, dir) = store("stream-eq");
         let t = StTable::create(&s, "orders", order_schema(), StorageConfig::default()).unwrap();
         for i in 0..300 {
@@ -911,9 +867,13 @@ mod tests {
         t.flush().unwrap();
         let window = Rect::new(115.995, 38.995, 116.055, 39.095);
         let time = Some((0, 12 * HOUR_MS));
-        let expected = t
-            .query(Some(&window), time, SpatialPredicate::Within)
-            .unwrap();
+        let mut expected: Vec<Row> = scan_all(&t)
+            .into_iter()
+            .filter(|r| {
+                let m = t.meta_of(r).unwrap();
+                m.geom.as_ref().unwrap().within_rect(&window) && m.t_min <= 12 * HOUR_MS
+            })
+            .collect();
         let mut stream = t.query_stream(
             Some(&window),
             time,
@@ -930,6 +890,9 @@ mod tests {
             streamed.extend(batch);
         }
         assert!(!expected.is_empty());
+        // Brute force is in key order, the query in planned-range order.
+        expected.sort_by_key(|r| r.values[0].as_int());
+        streamed.sort_by_key(|r| r.values[0].as_int());
         assert_eq!(streamed, expected);
         std::fs::remove_dir_all(dir).ok();
     }
@@ -1001,13 +964,8 @@ mod tests {
 
         let beijing = Rect::new(116.0, 39.0, 117.0, 40.0);
         let shanghai = Rect::new(121.0, 31.0, 122.0, 32.0);
-        assert!(t
-            .query(Some(&beijing), None, SpatialPredicate::Within)
-            .unwrap()
-            .is_empty());
-        let hits = t
-            .query(Some(&shanghai), None, SpatialPredicate::Within)
-            .unwrap();
+        assert!(query(&t, Some(&beijing), None, SpatialPredicate::Within).is_empty());
+        let hits = query(&t, Some(&shanghai), None, SpatialPredicate::Within);
         assert_eq!(hits.len(), 1);
         assert_eq!(
             t.get(&Value::Int(1)).unwrap().unwrap().values[0],
@@ -1023,10 +981,8 @@ mod tests {
         t.insert(&order_row(1, 116.4, 39.9, HOUR_MS)).unwrap();
         assert!(t.delete(&Value::Int(1)).unwrap());
         assert!(!t.delete(&Value::Int(1)).unwrap());
-        assert!(t
-            .query(None, None, SpatialPredicate::Intersects)
-            .unwrap()
-            .is_empty());
+        assert!(query(&t, None, None, SpatialPredicate::Intersects).is_empty());
+        assert!(scan_all(&t).is_empty());
         assert_eq!(t.get(&Value::Int(1)).unwrap(), None);
         std::fs::remove_dir_all(dir).ok();
     }
@@ -1068,13 +1024,12 @@ mod tests {
         t.flush().unwrap();
 
         let window = Rect::new(116.30, 39.89, 116.35, 39.95);
-        let hits = t
-            .query(
-                Some(&window),
-                Some((0, DAY_MS)),
-                SpatialPredicate::Intersects,
-            )
-            .unwrap();
+        let hits = query(
+            &t,
+            Some(&window),
+            Some((0, DAY_MS)),
+            SpatialPredicate::Intersects,
+        );
         assert_eq!(hits.len(), 1);
         assert_eq!(
             hits[0].values[6].as_gps_list().unwrap().len(),
@@ -1083,10 +1038,13 @@ mod tests {
         );
         // A disjoint window misses.
         let far = Rect::new(100.0, 20.0, 101.0, 21.0);
-        assert!(t
-            .query(Some(&far), Some((0, DAY_MS)), SpatialPredicate::Intersects)
-            .unwrap()
-            .is_empty());
+        assert!(query(
+            &t,
+            Some(&far),
+            Some((0, DAY_MS)),
+            SpatialPredicate::Intersects
+        )
+        .is_empty());
         std::fs::remove_dir_all(dir).ok();
     }
 

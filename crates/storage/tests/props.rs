@@ -4,7 +4,7 @@
 //! seeded (the offline stand-in for proptest).
 
 use just_geo::{Geometry, Point, Rect};
-use just_kvstore::{Store, StoreOptions};
+use just_kvstore::{ScanOptions, Store, StoreOptions};
 use just_obs::Rng;
 use just_storage::{
     Field, FieldType, IndexKind, Row, Schema, SpatialPredicate, StTable, StorageConfig, Value,
@@ -74,7 +74,14 @@ fn indexed_query_equals_brute_force() {
         let window = Rect::new(qx, qy, qx + qw, qy + qw);
         let time = (qt0, qt0 + qdt);
         let hits = table
-            .query(Some(&window), Some(time), SpatialPredicate::Within)
+            .query_stream(
+                Some(&window),
+                Some(time),
+                SpatialPredicate::Within,
+                None,
+                ScanOptions::default(),
+            )
+            .collect_rows()
             .unwrap();
         let mut got: Vec<i64> = hits.iter().map(|r| r.values[0].as_int().unwrap()).collect();
         got.sort_unstable();
