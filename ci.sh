@@ -271,6 +271,13 @@ SCAN_STREAM_OUT="$SMOKE_DIR/scan_stream.txt"
 grep -q "parity guard: PASS" "$SCAN_STREAM_OUT"
 grep -q "streaming guard: PASS" "$SCAN_STREAM_OUT"
 
+echo "==> k-NN smoke bench (Fig 13 parity guard)"
+# Every JUST k-NN answer of Fig 13c/13d must return the same distances as
+# the kd-tree baseline (Order) and a brute-force scan (Traj).
+FIG13_OUT="$SMOKE_DIR/fig13.txt"
+./target/release/figures fig13 --scale 0.1 --json "$SMOKE_DIR/bench" | tee "$FIG13_OUT"
+grep -q "parity guard: PASS" "$FIG13_OUT"
+
 echo "==> observability smoke test (SHOW QUERIES / KILL QUERY over the wire)"
 OBS_DATA="$SMOKE_DIR/obs-data"
 start_justd "$OBS_DATA" "$SMOKE_DIR/obs-port" --slow-query-ms 50

@@ -85,7 +85,11 @@ fn main() {
             "fig10" => figures::fig10::run(&cfg, &mut out, &mut report),
             "fig11" => figures::fig11::run(&cfg, &mut out, &mut report),
             "fig12" => figures::fig12::run(&cfg, &mut out, &mut report),
-            "fig13" => figures::fig13::run(&cfg, &mut out, &mut report),
+            "fig13" => {
+                if !figures::fig13::run(&cfg, &mut out, &mut report) {
+                    failed = true;
+                }
+            }
             "fig14" => figures::fig14::run(&cfg, &mut out, &mut report),
             "serve" => figures::serve::run(&cfg, &mut out, &mut report),
             "durability" => figures::durability::run(&cfg, &mut out, &mut report),

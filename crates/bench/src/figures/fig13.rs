@@ -1,15 +1,22 @@
 //! Figure 13: k-NN query performance vs data size and k.
+//!
+//! A parity guard checks every JUST k-NN answer of 13c and 13d: per query,
+//! the distances JUST returns must equal the kd-tree baseline's on Order
+//! and a brute-force scan's on Traj.
 
 use crate::config::BenchConfig;
 use crate::figures::{build_order_table, build_traj_table};
 use crate::harness::{median_latency, ms, Report, Table};
 use crate::workload::{order_records, query_points, OrderDataset, TrajDataset};
 use just_baselines::*;
+use just_core::Engine;
 use just_curves::TimePeriod;
+use just_geo::{Geometry, Point};
+use std::collections::HashMap;
 use std::io::Write;
 
-/// Runs Figure 13 (a–d).
-pub fn run(cfg: &BenchConfig, out: &mut impl Write, report: &mut Report) {
+/// Runs Figure 13 (a–d). Returns `false` when the parity guard fails.
+pub fn run(cfg: &BenchConfig, out: &mut impl Write, report: &mut Report) -> bool {
     report.phase("generate");
     let orders = OrderDataset::generate(cfg.orders, cfg.seed);
     let trajs = TrajDataset::generate(cfg.trajectories, cfg.points_per_trajectory, cfg.seed);
@@ -97,6 +104,25 @@ pub fn run(cfg: &BenchConfig, out: &mut impl Write, report: &mut Report) {
     writeln!(out, "== Fig 13c: k-NN vs k (Order, ms) ==").unwrap();
     writeln!(out, "{}", tc.render()).unwrap();
 
+    // Parity, Order: JUST against the kd-tree (ids mapped back to points).
+    report.phase("parity");
+    let kdtree = &engines[3];
+    let point_of: HashMap<u64, Point> = recs.iter().map(|r| (r.id, r.point)).collect();
+    let mut mismatches = Vec::new();
+    for &k in &cfg.k_values {
+        for q in &points {
+            let want: Vec<f64> = kdtree
+                .knn(*q, k)
+                .unwrap()
+                .iter()
+                .map(|id| point_of[id].distance(q))
+                .collect();
+            if just_distances(&te.engine, "orders", *q, k) != want {
+                mismatches.push(format!("Order k={k} q=({}, {})", q.x, q.y));
+            }
+        }
+    }
+
     report.phase("13d");
     // ---- 13d: Traj, vs k -------------------------------------------------
     let (tt, _) = build_traj_table("f13d", &trajs.trajectories, None, TimePeriod::Day, true);
@@ -114,6 +140,59 @@ pub fn run(cfg: &BenchConfig, out: &mut impl Write, report: &mut Report) {
     }
     writeln!(out, "== Fig 13d: k-NN vs k (Traj, ms) ==").unwrap();
     writeln!(out, "{}", td.render()).unwrap();
+
+    // Parity, Traj: both tables against a brute-force scan of the MBRs
+    // (the indexed geometry).
+    report.phase("parity");
+    for &k in &cfg.k_values {
+        let kk = k.min(trajs.trajectories.len());
+        for q in &points {
+            let mut want: Vec<f64> = trajs
+                .trajectories
+                .iter()
+                .map(|t| Geometry::Rect(t.mbr()).distance_to_point(q))
+                .collect();
+            want.sort_by(f64::total_cmp);
+            want.truncate(kk);
+            for (label, engine) in [("JUST", &tt), ("JUSTnc", &tt_nc)] {
+                if just_distances(&engine.engine, "traj", *q, kk) != want {
+                    mismatches.push(format!("Traj {label} k={kk} q=({}, {})", q.x, q.y));
+                }
+            }
+        }
+    }
+    let ok = mismatches.is_empty();
+    writeln!(
+        out,
+        "parity guard: {} ({} k-NN answers differ from the kd-tree / brute force{}{})",
+        if ok { "PASS" } else { "FAIL" },
+        mismatches.len(),
+        if ok { "" } else { ": " },
+        mismatches
+            .iter()
+            .take(5)
+            .cloned()
+            .collect::<Vec<_>>()
+            .join("; "),
+    )
+    .unwrap();
+    ok
+}
+
+/// The distances of JUST's k-NN answer, nearest first.
+fn just_distances(engine: &Engine, table: &str, q: Point, k: usize) -> Vec<f64> {
+    engine
+        .knn(table, q, k)
+        .unwrap()
+        .rows
+        .iter()
+        .map(|row| {
+            row.values
+                .last()
+                .and_then(|v| v.as_float())
+                .expect("k-NN rows end with the distance")
+        })
+        .collect()
 }
 
 fn mem_engines() -> Vec<Box<dyn SpatialEngine>> {
@@ -145,10 +224,12 @@ mod tests {
             ..BenchConfig::default()
         };
         let mut buf = Vec::new();
-        run(&cfg, &mut buf, &mut Report::new("fig13"));
+        let ok = run(&cfg, &mut buf, &mut Report::new("fig13"));
         let text = String::from_utf8(buf).unwrap();
         for sec in ["Fig 13a", "Fig 13b", "Fig 13c", "Fig 13d"] {
             assert!(text.contains(sec), "{sec} missing");
         }
+        assert!(ok, "guard must pass: {text}");
+        assert!(text.contains("parity guard: PASS"), "{text}");
     }
 }

@@ -38,6 +38,8 @@ pub use z2::Z2;
 pub use z3::Z3;
 pub use zt::{Xz2t, Z2t};
 
+use just_geo::Rect;
+
 /// Normalises a longitude to `[0, 1]` over the valid domain.
 pub(crate) fn norm_lng(lng: f64) -> f64 {
     ((lng + 180.0) / 360.0).clamp(0.0, 1.0)
@@ -46,6 +48,35 @@ pub(crate) fn norm_lng(lng: f64) -> f64 {
 /// Normalises a latitude to `[0, 1]` over the valid domain.
 pub(crate) fn norm_lat(lat: f64) -> f64 {
     ((lat + 90.0) / 180.0).clamp(0.0, 1.0)
+}
+
+/// Outward padding (degrees) of [`cell_rect`]: far above the rounding
+/// error of `norm_lng`/`norm_lat` (~1e-13°), far below any cell side
+/// that matters (~0.1 mm).
+const CELL_PAD_DEG: f64 = 1e-9;
+
+/// The degree rectangle of the normalised box `[x_lo, x_hi] × [y_lo,
+/// y_hi]`, padded outward so it contains every coordinate that
+/// normalises into the box. A side on the domain edge extends to
+/// infinity, because `norm_lng`/`norm_lat` clamp out-of-range
+/// coordinates onto that edge.
+pub(crate) fn cell_rect(x_lo: f64, x_hi: f64, y_lo: f64, y_hi: f64) -> Rect {
+    let side = |lo: f64, hi: f64, origin: f64, span: f64| {
+        let lo = if lo <= 0.0 {
+            f64::NEG_INFINITY
+        } else {
+            origin + lo * span - CELL_PAD_DEG
+        };
+        let hi = if hi >= 1.0 {
+            f64::INFINITY
+        } else {
+            origin + hi * span + CELL_PAD_DEG
+        };
+        (lo, hi)
+    };
+    let (min_x, max_x) = side(x_lo, x_hi, -180.0, 360.0);
+    let (min_y, max_y) = side(y_lo, y_hi, -90.0, 180.0);
+    Rect::new(min_x, min_y, max_x, max_y)
 }
 
 /// Maps a normalised `[0,1]` value to a discrete cell in `[0, 2^bits)`.

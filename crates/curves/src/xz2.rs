@@ -9,7 +9,7 @@
 //! makes "everything under this cell" a single key range.
 
 use crate::range::{merge_ranges, KeyRange, RangeOptions};
-use crate::{norm_lat, norm_lng};
+use crate::{cell_rect, norm_lat, norm_lng};
 use just_geo::Rect;
 
 /// XZ-ordering over the longitude/latitude plane.
@@ -91,6 +91,37 @@ impl Xz2 {
             cy += qy as f64 * w;
         }
         code
+    }
+
+    /// The sequence code of the level-`level` quadtree cell `(x, y)`
+    /// (cell coordinates at that level, `0..2^level`): the code of every
+    /// object whose element is that cell.
+    pub fn cell_code(&self, level: u32, x: u64, y: u64) -> u64 {
+        debug_assert!(level <= self.g);
+        (1..=level).fold(0, |code, i| {
+            let shift = level - i;
+            let quadrant = ((x >> shift) & 1) | (((y >> shift) & 1) << 1);
+            code + 1 + quadrant * subtree_size(self.g, i)
+        })
+    }
+
+    /// The codes of every object whose element is the cell `(x, y)` at
+    /// `level` or one of its descendants: one contiguous range, because
+    /// sequence codes number the quadtree depth-first.
+    pub fn cell_range(&self, level: u32, x: u64, y: u64) -> KeyRange {
+        let code = self.cell_code(level, x, y);
+        KeyRange::new(code, code + subtree_size(self.g, level) - 1)
+    }
+
+    /// A rectangle (degrees) containing every object whose code lies in
+    /// [`Xz2::cell_range`]`(level, x, y)`: the cell's *enlarged* cell
+    /// (doubled width and height, as in [`Xz2::index`]), which also holds
+    /// every descendant's enlarged cell. Padded by the normalisation's
+    /// rounding and unbounded on the domain edge.
+    pub fn cell_bounds(&self, level: u32, x: u64, y: u64) -> Rect {
+        let w = 1.0 / (1u64 << level) as f64;
+        let (x, y) = (x as f64 * w, y as f64 * w);
+        cell_rect(x, x + 2.0 * w, y, y + 2.0 * w)
     }
 
     /// Decomposes a query window into merged code ranges.
@@ -312,6 +343,75 @@ mod tests {
         let far = Rect::new(-120.0, -40.0, -119.9, -39.9);
         let code = xz.index(&far);
         assert!(!ranges.iter().any(|r| r.contains(code)));
+    }
+
+    /// Finds the element cell of `code` by descending the quadtree with
+    /// `cell_code`/`cell_range`, checking at every step that the code stays
+    /// inside exactly one child's range.
+    fn element_of(xz: &Xz2, code: u64) -> (u32, u64, u64) {
+        let (mut level, mut x, mut y) = (0u32, 0u64, 0u64);
+        loop {
+            assert!(xz.cell_range(level, x, y).contains(code));
+            if xz.cell_code(level, x, y) == code {
+                return (level, x, y);
+            }
+            let kids: Vec<(u64, u64)> = (0..4u64)
+                .map(|q| (2 * x + (q & 1), 2 * y + (q >> 1)))
+                .filter(|&(cx, cy)| xz.cell_range(level + 1, cx, cy).contains(code))
+                .collect();
+            assert_eq!(kids.len(), 1, "code {code} in {} children", kids.len());
+            (x, y) = kids[0];
+            level += 1;
+        }
+    }
+
+    #[test]
+    fn cell_bounds_contain_every_object_filed_under_the_cell() {
+        let xz = Xz2::default();
+        let mut rng = just_obs::Rng::seed_from_u64(0x787a32);
+        for _ in 0..2000 {
+            // Corners within two ulps of cell edges of a random level
+            // half the time, so objects sit on the boundaries (and
+            // normalisation rounds some across them).
+            let level = rng.gen_range(1..19u32);
+            let cells = (1u64 << level) as f64;
+            let mut coord = |origin: f64, span: f64| {
+                if rng.gen_bool(0.5) {
+                    let v = origin + span * (rng.gen_f64() * cells).floor() / cells;
+                    let ulps = rng.gen_range(-2..3i64) * if v < 0.0 { -1 } else { 1 };
+                    let shifted = if v == 0.0 {
+                        v
+                    } else {
+                        f64::from_bits((v.to_bits() as i64 + ulps) as u64)
+                    };
+                    shifted.clamp(origin, origin + span)
+                } else {
+                    origin + span * rng.gen_f64()
+                }
+            };
+            let (x0, y0) = (coord(-180.0, 360.0), coord(-90.0, 180.0));
+            let (w, h) = (rng.gen_f64() * 360.0 / cells, rng.gen_f64() * 180.0 / cells);
+            let mbr = Rect::new(x0, y0, (x0 + w).min(180.0), (y0 + h).min(90.0));
+            let code = xz.index(&mbr);
+            let (l, x, y) = element_of(&xz, code);
+            // Every ancestor's bounds hold the object too.
+            for up in 0..=l {
+                let b = xz.cell_bounds(l - up, x >> up, y >> up);
+                assert!(b.contains_rect(&mbr), "{mbr:?} (level {l}) outside {b:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn cell_codes_match_index_at_the_sw_corner() {
+        let xz = Xz2::default();
+        let tiny_sw = Rect::new(-180.0, -90.0, -180.0, -90.0);
+        assert_eq!(xz.cell_code(xz.g(), 0, 0), xz.index(&tiny_sw));
+        assert_eq!(
+            xz.cell_range(0, 0, 0),
+            KeyRange::new(0, xz.code_space() - 1)
+        );
+        assert_eq!(xz.cell_range(xz.g(), 5, 9).len(), 1);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use crate::morton::{deinterleave2, interleave2};
 use crate::range::{merge_ranges, KeyRange, RangeOptions};
-use crate::{discretize, norm_lat, norm_lng};
+use crate::{cell_rect, discretize, norm_lat, norm_lng};
 use just_geo::Rect;
 
 /// Z-order curve over the longitude/latitude plane.
@@ -47,6 +47,25 @@ impl Z2 {
         let min_x = -180.0 + x as f64 * w;
         let min_y = -90.0 + y as f64 * h;
         Rect::new(min_x, min_y, min_x + w, min_y + h)
+    }
+
+    /// The codes of every point in the level-`level` quadtree cell
+    /// `(x, y)` (cell coordinates at that level, `0..2^level`): the
+    /// cell's whole Morton subtree, one contiguous range.
+    pub fn cell_range(&self, level: u32, x: u64, y: u64) -> KeyRange {
+        debug_assert!(level <= self.bits);
+        let shift = 2 * (self.bits - level);
+        let lo = interleave2(x, y) << shift;
+        KeyRange::new(lo, lo + ((1u64 << shift) - 1))
+    }
+
+    /// A rectangle (degrees) containing every point whose code lies in
+    /// [`Z2::cell_range`]`(level, x, y)`: the cell itself, padded by the
+    /// normalisation's rounding and unbounded on the domain edge.
+    pub fn cell_bounds(&self, level: u32, x: u64, y: u64) -> Rect {
+        let side = 1.0 / (1u64 << level) as f64;
+        let (x, y) = (x as f64 * side, y as f64 * side);
+        cell_rect(x, x + side, y, y + side)
     }
 
     /// Decomposes a query window into merged inclusive code ranges by
@@ -226,6 +245,69 @@ mod tests {
             max_ranges: 4096,
         });
         assert!(fine < coarse, "fine {fine} !< coarse {coarse}");
+    }
+
+    #[test]
+    fn cell_ranges_and_bounds_hold_points_on_cell_edges() {
+        let z2 = Z2::default();
+        let mut rng = just_obs::Rng::seed_from_u64(0x7a32);
+        for level in [1u32, 5, 9, 14, 20, 30] {
+            let cells = 1u64 << level;
+            for _ in 0..200 {
+                // A coordinate within two ulps of a level-`level` cell
+                // edge (normalisation rounds such values across the
+                // edge), or a random one.
+                let edge = |rng: &mut just_obs::Rng, origin: f64, span: f64| {
+                    if rng.gen_bool(0.7) {
+                        let v = origin + span * rng.gen_range(0..cells + 1) as f64 / cells as f64;
+                        let ulps = rng.gen_range(-2..3i64);
+                        let shifted = if v > 0.0 {
+                            f64::from_bits((v.to_bits() as i64 + ulps) as u64)
+                        } else if v < 0.0 {
+                            f64::from_bits((v.to_bits() as i64 - ulps) as u64)
+                        } else {
+                            v
+                        };
+                        shifted.clamp(origin, origin + span)
+                    } else {
+                        origin + span * rng.gen_f64()
+                    }
+                };
+                let (lng, lat) = (edge(&mut rng, -180.0, 360.0), edge(&mut rng, -90.0, 180.0));
+                let code = z2.index(lng, lat);
+                let (x, y) = deinterleave2(code >> (2 * (z2.bits() - level)));
+                assert!(z2.cell_range(level, x, y).contains(code));
+                assert!(
+                    z2.cell_bounds(level, x, y)
+                        .contains_point(&Point::new(lng, lat)),
+                    "level {level}: ({lng}, {lat}) outside its cell"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn cell_ranges_partition_the_parent() {
+        let z2 = Z2::new(8);
+        let parent = z2.cell_range(3, 5, 2);
+        let mut kids: Vec<KeyRange> = (0..4u64)
+            .map(|q| z2.cell_range(4, 10 + (q & 1), 4 + (q >> 1)))
+            .collect();
+        kids.sort();
+        assert_eq!(kids[0].lo, parent.lo);
+        assert_eq!(kids[3].hi, parent.hi);
+        assert!(kids.windows(2).all(|w| w[0].hi + 1 == w[1].lo));
+        assert_eq!(z2.cell_range(0, 0, 0).len(), 1 << 16);
+    }
+
+    #[test]
+    fn edge_cells_are_unbounded_outward() {
+        let z2 = Z2::default();
+        let root = z2.cell_bounds(0, 0, 0);
+        assert_eq!(root.min_distance(&Point::new(1e6, -1e6)), 0.0);
+        let ne = z2.cell_bounds(2, 3, 3);
+        assert_eq!(ne.max_x, f64::INFINITY);
+        assert!((ne.min_x - 90.0).abs() < 1e-6);
     }
 
     #[test]

@@ -428,6 +428,16 @@ impl std::fmt::Debug for SsTable {
     }
 }
 
+/// Whether a footer's section lengths add up to exactly the file size.
+/// The sum is checked: a crafted length that wraps it would otherwise
+/// pass the size check and then size the index allocation.
+fn footer_fits(sections: &[u64], file_size: u64) -> bool {
+    sections
+        .iter()
+        .try_fold(0u64, |sum, &len| sum.checked_add(len))
+        == Some(file_size)
+}
+
 impl SsTable {
     /// Opens an existing table, loading its block index (and bloom
     /// filter, if present) into memory. The on-disk format is
@@ -457,7 +467,7 @@ impl SsTable {
                 file.read_exact(&mut footer)?;
                 let index_offset = u64::from_le_bytes(footer[0..8].try_into().unwrap());
                 let index_len = u64::from_le_bytes(footer[8..16].try_into().unwrap());
-                if index_offset + index_len + FOOTER_V1 as u64 != file_size {
+                if !footer_fits(&[index_offset, index_len, FOOTER_V1 as u64], file_size) {
                     return Err(KvError::Corrupt(format!("{}: bad footer", path.display())));
                 }
                 (
@@ -482,7 +492,10 @@ impl SsTable {
                 let codec = Codec::from_code(footer[24]).ok_or_else(|| {
                     KvError::Corrupt(format!("{}: unknown codec {}", path.display(), footer[24]))
                 })?;
-                if index_offset + index_len + bloom_len + FOOTER_V2 as u64 != file_size {
+                if !footer_fits(
+                    &[index_offset, index_len, bloom_len, FOOTER_V2 as u64],
+                    file_size,
+                ) {
                     return Err(KvError::Corrupt(format!("{}: bad footer", path.display())));
                 }
                 (
@@ -508,7 +521,10 @@ impl SsTable {
                 let codec = Codec::from_code(footer[32]).ok_or_else(|| {
                     KvError::Corrupt(format!("{}: unknown codec {}", path.display(), footer[32]))
                 })?;
-                if index_offset + index_len + bloom_len + FOOTER_V3 as u64 != file_size {
+                if !footer_fits(
+                    &[index_offset, index_len, bloom_len, FOOTER_V3 as u64],
+                    file_size,
+                ) {
                     return Err(KvError::Corrupt(format!("{}: bad footer", path.display())));
                 }
                 (
@@ -1152,6 +1168,51 @@ mod tests {
         out.push(footer[32]);
         out.extend_from_slice(MAGIC_V2);
         out
+    }
+
+    #[test]
+    fn wrapping_footer_lengths_are_a_typed_error() {
+        // Adding 2^63 to two footer fields leaves their wrapped sum (and so
+        // an unchecked `offset + len + ... == file_size` test) unchanged
+        // while announcing a ~2^63-byte index.
+        const HALF: u64 = 1 << 63;
+        for (label, opts) in all_variants() {
+            let dir = tmpdir(&format!("wrap-{label}"));
+            let t = build_opts(&dir, 200, opts);
+            let path = t.path().to_path_buf();
+            drop(t);
+            let v3 = std::fs::read(&path).unwrap();
+            let mut files = vec![(label.to_string(), v3.clone())];
+            if &v3[v3.len() - 8..] == MAGIC_V3 {
+                files.push((format!("{label} as v2"), downgrade_to_v2(&v3)));
+            }
+            for (name, bytes) in files {
+                let footer = match &bytes[bytes.len() - 8..] {
+                    m if m == MAGIC_V1 => FOOTER_V1,
+                    m if m == MAGIC_V2 => FOOTER_V2,
+                    _ => FOOTER_V3,
+                };
+                let at = bytes.len() - footer;
+                // Footer fields: index_offset, index_len, then (v2/v3)
+                // bloom_len. Pair index_len with each other field.
+                let partners: &[usize] = if footer == FOOTER_V1 { &[0] } else { &[0, 16] };
+                for &partner in partners {
+                    let mut bytes = bytes.clone();
+                    for field in [8, partner] {
+                        let f = at + field;
+                        let v = u64::from_le_bytes(bytes[f..f + 8].try_into().unwrap());
+                        bytes[f..f + 8].copy_from_slice(&v.wrapping_add(HALF).to_le_bytes());
+                    }
+                    std::fs::write(&path, &bytes).unwrap();
+                    let opened = SsTable::open(&path, Arc::new(IoMetrics::new()));
+                    assert!(
+                        matches!(opened, Err(KvError::Corrupt(_))),
+                        "{name} (index_len + field at {partner}): {opened:?}"
+                    );
+                }
+            }
+            std::fs::remove_dir_all(dir).ok();
+        }
     }
 
     #[test]

@@ -36,6 +36,14 @@ const COMPILED: &str = "compiled";
 /// Span attribute for operators that fell back to interpreted `eval()`.
 const FALLBACK: &str = "fallback";
 
+/// The k-NN walk's global counters and the `EXPLAIN ANALYZE` attribute
+/// each one's per-operator delta is reported under on a `Knn` span.
+const KNN_COUNTERS: [(&str, &str); 3] = [
+    ("just_knn_cells_scanned", "cells_scanned"),
+    ("just_knn_cells_split", "cells_split"),
+    ("just_knn_candidates", "candidates"),
+];
+
 static COMPILED_ENABLED: AtomicBool = AtomicBool::new(true);
 
 /// Globally enables / disables compiled expression execution (default:
@@ -132,7 +140,9 @@ impl<'a> Executor<'a> {
     /// and — for the index-serving leaves (`Scan`, `Knn`), the only
     /// operators that touch the kvstore — the exact IO delta (blocks
     /// read, cache hits, bytes) plus index-selectivity counters (key
-    /// ranges generated, keys scanned) attributed to that operator.
+    /// ranges generated, keys scanned) attributed to that operator. A
+    /// `Knn` span also carries the cell walk's `cells_scanned`,
+    /// `cells_split` and `candidates`.
     pub fn run_traced(
         &self,
         plan: &LogicalPlan,
@@ -150,6 +160,8 @@ impl<'a> Executor<'a> {
                 obs.counter("just_storage_rows_pruned_pushdown").get(),
             )
         });
+        let knn_before = matches!(plan, LogicalPlan::Knn { .. })
+            .then(|| KNN_COUNTERS.map(|(name, _)| just_obs::global().counter(name).get()));
         let mut children = Vec::new();
         for child in plan.children() {
             children.push(self.run_traced(child, trace, span)?);
@@ -241,6 +253,12 @@ impl<'a> Executor<'a> {
                 if ranges > 0 {
                     trace.add_attr(span, "key_ranges", ranges);
                     trace.add_attr(span, "keys_scanned", keys);
+                }
+            }
+            if let Some(knn_before) = knn_before {
+                let obs = just_obs::global();
+                for ((name, attr), was) in KNN_COUNTERS.iter().zip(knn_before) {
+                    trace.add_attr(span, attr, obs.counter(name).get() - was);
                 }
             }
         }

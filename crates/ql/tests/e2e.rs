@@ -132,6 +132,36 @@ fn knn_query_via_sql() {
 }
 
 #[test]
+fn knn_explain_analyze_reports_the_cell_walk() {
+    let (mut c, dir) = client("knn-explain");
+    setup_orders(&mut c);
+    let (data, trace) = c
+        .explain_analyze(
+            "SELECT fid, distance FROM orders \
+             WHERE geom IN st_KNN(st_makePoint(116.0, 39.0), 5)",
+        )
+        .unwrap();
+    assert_eq!(data.len(), 5);
+    let mut stack = vec![trace.root()];
+    let span = loop {
+        let span = stack.pop().expect("EXPLAIN ANALYZE has a Knn span");
+        if trace.name(span).starts_with("Knn") {
+            break span;
+        }
+        stack.extend(trace.children(span));
+    };
+    // Counters are process-global and other tests run concurrently, so
+    // only lower bounds are exact here.
+    let attr = |name: &str| trace.attr(span, name).unwrap_or(0);
+    assert!(attr("key_ranges") >= 1, "key_ranges");
+    assert!(attr("keys_scanned") >= 5, "keys_scanned");
+    assert!(attr("cells_scanned") >= 1, "cells_scanned");
+    assert!(attr("cells_split") >= 1, "cells_split");
+    assert!(attr("candidates") >= 5, "candidates");
+    std::fs::remove_dir_all(dir).ok();
+}
+
+#[test]
 fn views_and_aggregates() {
     let (mut c, dir) = client("views");
     setup_orders(&mut c);

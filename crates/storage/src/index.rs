@@ -272,9 +272,17 @@ impl IndexStrategy {
             IndexKind::Id => unreachable!("handled above"),
         }
 
+        self.shard_ranges(&curve)
+    }
+
+    /// Fans logical curve ranges `(period, lo, hi)` out into inclusive
+    /// byte ranges, one per (curve range × shard) — the key layout of
+    /// [`IndexStrategy::key`]. Shared by [`IndexStrategy::plan`] and the
+    /// k-NN cell scan, which hands over exact cell ranges directly.
+    pub(crate) fn shard_ranges(&self, curve: &[(Option<i32>, u64, u64)]) -> ShardedPlan {
         let mut ranges = Vec::with_capacity(curve.len() * self.shards as usize);
         for shard in 0..self.shards {
-            for (period, lo, hi) in &curve {
+            for (period, lo, hi) in curve {
                 let mut start = Vec::with_capacity(13);
                 let mut end = Vec::with_capacity(13 + END_PAD.len());
                 start.push(shard);

@@ -6,7 +6,7 @@ use crate::row::Row;
 use crate::schema::{FieldType, Schema};
 use crate::value::Value;
 use crate::{Result, StorageError};
-use just_curves::{RangeOptions, TimePeriod};
+use just_curves::{KeyRange, RangeOptions, TimePeriod};
 use just_geo::{Geometry, LineString, Point, Rect};
 use just_kvstore::{Store, Table as KvTable};
 use std::sync::Arc;
@@ -111,6 +111,9 @@ pub struct StTable {
     /// they never fan out across time periods.
     spatial: Option<(IndexStrategy, Arc<KvTable>)>,
     ids: Option<Arc<KvTable>>,
+    /// Index-relevant fields (id, geometry, time): what a meta-phase
+    /// decode reads.
+    meta_mask: Vec<bool>,
     /// Observed `[min t_min, max t_max]` over all inserts, persisted under
     /// a reserved key so open-time-window queries on temporal indexes only
     /// plan the periods that can hold data (instead of ±50 years).
@@ -303,6 +306,16 @@ impl StTable {
             let hi = i64::from_le_bytes(v.get(8..16)?.try_into().ok()?);
             Some((lo, hi))
         });
+        let mut meta_mask = vec![false; schema.len()];
+        let meta_fields = [
+            Some(schema.fid_index()),
+            schema.geom_index(),
+            schema.time_index(),
+            schema.time_end_index(),
+        ];
+        for i in meta_fields.into_iter().flatten() {
+            meta_mask[i] = true;
+        }
         StTable {
             name: name.to_string(),
             schema,
@@ -310,6 +323,7 @@ impl StTable {
             data,
             spatial,
             ids,
+            meta_mask,
             time_bounds: just_obs::sync::Mutex::new(time_bounds),
         }
     }
@@ -453,18 +467,56 @@ impl StTable {
                 (self.strategy.plan(spatial, plan_time), &self.data)
             }
         };
-        let obs = index_obs();
-        obs.ranges_generated.add(plan.ranges.len() as u64);
-        obs.curve_ranges.add(plan.curve_ranges as u64);
+        charge_plan(&plan);
         Some((plan, scan_table))
+    }
+
+    /// The spatial-only index a k-NN walks: the Z2/XZ2 secondary of a
+    /// temporal primary, else the primary itself when it is Z2 or XZ2.
+    fn knn_index(&self) -> Option<(&IndexStrategy, &Arc<KvTable>)> {
+        let (strategy, table) = match &self.spatial {
+            Some((st, table)) => (st, table),
+            None => (&self.strategy, &self.data),
+        };
+        matches!(strategy.kind(), IndexKind::Z2 | IndexKind::Xz2).then_some((strategy, table))
+    }
+
+    /// The curve a k-NN walks on this table — [`IndexKind::Z2`] or
+    /// [`IndexKind::Xz2`] at its default resolution — or `None` when the
+    /// table has no spatial-only curve (an id-indexed table).
+    pub fn knn_curve(&self) -> Option<IndexKind> {
+        self.knn_index().map(|(strategy, _)| strategy.kind())
+    }
+
+    /// Scans exact code ranges of the [`StTable::knn_curve`] index, each
+    /// fanned out over the salt shards, one bounded batch of raw entries
+    /// at a time. No window is planned: the k-NN cell walk hands over
+    /// one quadtree cell's range at a time. Charges the same planning
+    /// and `keys_scanned` metrics as a planned scan.
+    pub fn scan_curve_ranges(
+        &self,
+        curve: &[KeyRange],
+        opts: just_kvstore::ScanOptions,
+    ) -> Result<RawQueryStream> {
+        let (strategy, table) = self.knn_index().ok_or_else(|| {
+            StorageError::SchemaMismatch(format!(
+                "table {} has no spatial curve to scan (index {})",
+                self.name,
+                self.strategy.kind()
+            ))
+        })?;
+        let curve: Vec<_> = curve.iter().map(|r| (None, r.lo, r.hi)).collect();
+        let plan = strategy.shard_ranges(&curve);
+        charge_plan(&plan);
+        Ok(RawQueryStream {
+            inner: table.scan_ranges_stream(plan.ranges, opts),
+        })
     }
 
     /// Plans a query window and scans its key ranges lazily, one bounded
     /// batch of raw key-value entries at a time — no decode, no exact
-    /// filtering. The k-NN ring expansion pulls from this, deduplicates
-    /// candidates by key before paying for row decode (and GPS-list
-    /// decompression), and stops as soon as its candidate heap is
-    /// provably complete, leaving the rest of the ring unread.
+    /// filtering, but the same planning and `keys_scanned` accounting as
+    /// [`StTable::query_stream`].
     pub fn query_raw_stream(
         &self,
         spatial: Option<&Rect>,
@@ -481,6 +533,14 @@ impl StTable {
     /// Decodes one raw entry from [`StTable::query_raw_stream`].
     pub fn decode_entry(&self, entry: &just_kvstore::KvEntry) -> Result<Row> {
         Row::decode(&self.schema, &entry.value)
+    }
+
+    /// Decodes only the index digest of one raw entry (id, geometry and
+    /// time fields): other fields, such as a compressed GPS list that is
+    /// not the geometry, are skipped undecoded.
+    pub fn decode_meta(&self, entry: &just_kvstore::KvEntry) -> Result<RecordMeta> {
+        let row = Row::decode_masked(&self.schema, &entry.value, &self.meta_mask)?;
+        row_meta(&self.schema, &row)
     }
 
     /// Executes a spatial / spatio-temporal range query: plans key
@@ -541,17 +601,7 @@ impl StTable {
     ) -> QueryStream {
         let len = self.schema.len();
         let filtering = spatial.is_some() || time.is_some();
-        let mut meta_mask = vec![false; len];
-        meta_mask[self.schema.fid_index()] = true;
-        if let Some(i) = self.schema.geom_index() {
-            meta_mask[i] = true;
-        }
-        if let Some(i) = self.schema.time_index() {
-            meta_mask[i] = true;
-        }
-        if let Some(i) = self.schema.time_end_index() {
-            meta_mask[i] = true;
-        }
+        let meta_mask = self.meta_mask.clone();
         let fill_mask = projection.map(|idxs| {
             let mut m = vec![false; len];
             for &i in idxs {
@@ -631,9 +681,17 @@ impl StTable {
     }
 }
 
-/// Streaming raw key-value entries from [`StTable::query_raw_stream`] —
-/// no decode, no exact filtering, but full planning/`keys_scanned`
-/// accounting. Self-contained: holds no borrow of the table.
+/// Charges one scan plan to the index-selectivity counters.
+fn charge_plan(plan: &crate::index::ShardedPlan) {
+    let obs = index_obs();
+    obs.ranges_generated.add(plan.ranges.len() as u64);
+    obs.curve_ranges.add(plan.curve_ranges as u64);
+}
+
+/// Streaming raw key-value entries from [`StTable::query_raw_stream`] or
+/// [`StTable::scan_curve_ranges`] — no decode, no exact filtering, but
+/// full planning/`keys_scanned` accounting. Self-contained: holds no
+/// borrow of the table.
 pub struct RawQueryStream {
     inner: just_kvstore::ScanStream,
 }
