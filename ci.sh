@@ -278,6 +278,16 @@ FIG13_OUT="$SMOKE_DIR/fig13.txt"
 ./target/release/figures fig13 --scale 0.1 --json "$SMOKE_DIR/bench" | tee "$FIG13_OUT"
 grep -q "parity guard: PASS" "$FIG13_OUT"
 
+echo "==> range smoke bench (Fig 11/12 parity guard)"
+# Every JUST, JUSTnc and JUSTd/y/c (Z3 / XZ3) range answer of Figs 11 and
+# 12 must return exactly the records a brute-force scan of the generated
+# data finds.
+for fig in fig11 fig12; do
+    ./target/release/figures "$fig" --scale 0.1 --json "$SMOKE_DIR/bench" \
+        | tee "$SMOKE_DIR/$fig.txt"
+    grep -q "parity guard: PASS" "$SMOKE_DIR/$fig.txt"
+done
+
 echo "==> observability smoke test (SHOW QUERIES / KILL QUERY over the wire)"
 OBS_DATA="$SMOKE_DIR/obs-data"
 start_justd "$OBS_DATA" "$SMOKE_DIR/obs-port" --slow-query-ms 50

@@ -83,8 +83,16 @@ fn main() {
             "table2" => figures::tables::table2(&cfg, &mut out, &mut report),
             "fig8" => figures::fig8::run(&mut out, &mut report),
             "fig10" => figures::fig10::run(&cfg, &mut out, &mut report),
-            "fig11" => figures::fig11::run(&cfg, &mut out, &mut report),
-            "fig12" => figures::fig12::run(&cfg, &mut out, &mut report),
+            "fig11" => {
+                if !figures::fig11::run(&cfg, &mut out, &mut report) {
+                    failed = true;
+                }
+            }
+            "fig12" => {
+                if !figures::fig12::run(&cfg, &mut out, &mut report) {
+                    failed = true;
+                }
+            }
             "fig13" => {
                 if !figures::fig13::run(&cfg, &mut out, &mut report) {
                     failed = true;

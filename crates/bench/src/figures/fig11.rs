@@ -1,8 +1,11 @@
 //! Figure 11: spatial range query performance vs data size and spatial
 //! window, JUST vs the in-memory and disk baselines.
+//!
+//! A parity guard checks every JUST and JUSTnc answer against a
+//! brute-force scan of the generated data.
 
 use crate::config::BenchConfig;
-use crate::figures::{build_order_table, build_traj_table};
+use crate::figures::{build_order_table, build_traj_table, RangeParity};
 use crate::harness::{median_latency, ms, Report, Table};
 use crate::workload::{order_records, query_windows, traj_records, OrderDataset, TrajDataset};
 use just_baselines::*;
@@ -10,8 +13,9 @@ use just_curves::TimePeriod;
 use just_storage::SpatialPredicate;
 use std::io::Write;
 
-/// Runs Figure 11 (a–d).
-pub fn run(cfg: &BenchConfig, out: &mut impl Write, report: &mut Report) {
+/// Runs Figure 11 (a–d). Returns `false` when the parity guard fails.
+pub fn run(cfg: &BenchConfig, out: &mut impl Write, report: &mut Report) -> bool {
+    let mut parity = RangeParity::default();
     report.phase("generate");
     let orders = OrderDataset::generate(cfg.orders, cfg.seed);
     let trajs = TrajDataset::generate(cfg.trajectories, cfg.points_per_trajectory, cfg.seed);
@@ -41,6 +45,9 @@ pub fn run(cfg: &BenchConfig, out: &mut impl Write, report: &mut Report) {
             row.push(run_engine_ranges(engine, &recs, &windows));
         }
         ta.row(row);
+        for w in &windows {
+            parity.orders("11a JUST", &te, &slice, w, None);
+        }
     }
     writeln!(out, "== Fig 11a: spatial range vs data size (Order) ==").unwrap();
     writeln!(out, "{}", ta.render()).unwrap();
@@ -83,6 +90,10 @@ pub fn run(cfg: &BenchConfig, out: &mut impl Write, report: &mut Report) {
             &windows,
         ));
         tb.row(row);
+        for w in &windows {
+            parity.trajs("11b JUST", &te, &slice, w, None);
+            parity.trajs("11b JUSTnc", &te_nc, &slice, w, None);
+        }
     }
     writeln!(out, "== Fig 11b: spatial range vs data size (Traj) ==").unwrap();
     writeln!(out, "{}", tb.render()).unwrap();
@@ -123,6 +134,11 @@ pub fn run(cfg: &BenchConfig, out: &mut impl Write, report: &mut Report) {
             row.push(run_engine_ranges(engine, &recs_o, &windows));
         }
         tc.row(row);
+        for w in &windows {
+            parity.orders("11c JUST", &te_o, &orders.orders, w, None);
+            parity.trajs("11d JUST", &te_t, &trajs.trajectories, w, None);
+            parity.trajs("11d JUSTnc", &te_t_nc, &trajs.trajectories, w, None);
+        }
 
         let mut row = vec![format!("{km}x{km}")];
         for engine in [&te_t, &te_t_nc] {
@@ -149,6 +165,7 @@ pub fn run(cfg: &BenchConfig, out: &mut impl Write, report: &mut Report) {
     writeln!(out, "{}", tc.render()).unwrap();
     writeln!(out, "== Fig 11d: spatial range vs window (Traj) ==").unwrap();
     writeln!(out, "{}", td.render()).unwrap();
+    parity.report(out)
 }
 
 fn baseline_set(pct: u32) -> Vec<Box<dyn SpatialEngine>> {
@@ -201,10 +218,12 @@ mod tests {
             ..BenchConfig::default()
         };
         let mut buf = Vec::new();
-        run(&cfg, &mut buf, &mut Report::new("fig11"));
+        let ok = run(&cfg, &mut buf, &mut Report::new("fig11"));
         let text = String::from_utf8(buf).unwrap();
         for sec in ["Fig 11a", "Fig 11b", "Fig 11c", "Fig 11d"] {
             assert!(text.contains(sec), "{sec} missing");
         }
+        assert!(ok, "guard must pass: {text}");
+        assert!(text.contains("parity guard: PASS"), "{text}");
     }
 }

@@ -2,9 +2,12 @@
 //! headline result. JUST (Z2T/XZ2T with day periods) against the Z3/XZ3
 //! variants JUSTd (day), JUSTy (year), JUSTc (century), plus the
 //! ST-Hadoop stand-in.
+//!
+//! A parity guard checks every JUST, JUSTnc and JUSTd/y/c (Z3 on Order,
+//! XZ3 on Traj) answer against a brute-force scan of the generated data.
 
 use crate::config::BenchConfig;
-use crate::figures::{build_order_table, build_traj_table, TempEngine};
+use crate::figures::{build_order_table, build_traj_table, RangeParity, TempEngine};
 use crate::harness::{median_latency, ms, Report, Table};
 use crate::workload::{
     order_records, query_time_windows, query_windows, OrderDataset, TrajDataset,
@@ -61,8 +64,36 @@ fn st_query(
     te.engine.st_range(table, w, t.0, t.1, pred).unwrap();
 }
 
-/// Runs Figure 12 (a–d).
-pub fn run(cfg: &BenchConfig, out: &mut impl Write, report: &mut Report) {
+impl OrderVariants {
+    /// Each variant with its label.
+    fn all(&self) -> [(&'static str, &TempEngine); 4] {
+        [
+            ("JUST", &self.just),
+            ("JUSTd", &self.just_d),
+            ("JUSTy", &self.just_y),
+            ("JUSTc", &self.just_c),
+        ]
+    }
+
+    /// Checks every variant's answer to each query.
+    fn check(
+        &self,
+        parity: &mut RangeParity,
+        fig: &str,
+        orders: &[crate::workload::Order],
+        queries: &[(just_geo::Rect, (i64, i64))],
+    ) {
+        for (w, t) in queries {
+            for (label, te) in self.all() {
+                parity.orders(&format!("{fig} {label}"), te, orders, w, Some(*t));
+            }
+        }
+    }
+}
+
+/// Runs Figure 12 (a–d). Returns `false` when the parity guard fails.
+pub fn run(cfg: &BenchConfig, out: &mut impl Write, report: &mut Report) -> bool {
+    let mut parity = RangeParity::default();
     report.phase("generate");
     let orders = OrderDataset::generate(cfg.orders, cfg.seed);
     let trajs = TrajDataset::generate(cfg.trajectories, cfg.points_per_trajectory, cfg.seed);
@@ -84,6 +115,7 @@ pub fn run(cfg: &BenchConfig, out: &mut impl Write, report: &mut Report) {
             })));
         }
         ta.row(row);
+        v.check(&mut parity, "12a", &slice, &queries);
     }
     writeln!(out, "== Fig 12a: ST range vs data size (Order, ms) ==").unwrap();
     writeln!(out, "{}", ta.render()).unwrap();
@@ -118,6 +150,7 @@ pub fn run(cfg: &BenchConfig, out: &mut impl Write, report: &mut Report) {
             sth.st_range(w, t.0, t.1).unwrap();
         })));
         tb.row(row);
+        v.check(&mut parity, "12b", &orders.orders, &queries);
     }
     writeln!(out, "== Fig 12b: ST range vs spatial window (Order, ms) ==").unwrap();
     writeln!(out, "{}", tb.render()).unwrap();
@@ -178,12 +211,25 @@ pub fn run(cfg: &BenchConfig, out: &mut impl Write, report: &mut Report) {
             .zip(traj_times.iter().cloned())
             .collect();
         let mut row = vec![format!("{km}x{km}")];
-        for te in [&t_just, &t_nc, &t_d, &t_y, &t_c] {
+        let variants = [
+            ("JUST", &t_just),
+            ("JUSTnc", &t_nc),
+            ("JUSTd", &t_d),
+            ("JUSTy", &t_y),
+            ("JUSTc", &t_c),
+        ];
+        for (_, te) in variants {
             row.push(ms(median_latency(&queries, |(w, t)| {
                 st_query(te, "traj", w, *t, SpatialPredicate::Intersects)
             })));
         }
         tc.row(row);
+        for (w, t) in &queries {
+            for (label, te) in variants {
+                let label = format!("12c {label}");
+                parity.trajs(&label, te, &trajs.trajectories, w, Some(*t));
+            }
+        }
     }
     writeln!(out, "== Fig 12c: ST range vs spatial window (Traj, ms) ==").unwrap();
     writeln!(out, "{}", tc.render()).unwrap();
@@ -225,10 +271,12 @@ pub fn run(cfg: &BenchConfig, out: &mut impl Write, report: &mut Report) {
             sth.st_range(w, t.0, t.1).unwrap();
         })));
         td.row(row);
+        v.check(&mut parity, "12d", &orders.orders, &queries);
     }
     writeln!(out, "== Fig 12d: ST range vs time window (Order, ms) ==").unwrap();
     writeln!(out, "{}", td.render()).unwrap();
     std::fs::remove_dir_all(&sth_dir).ok();
+    parity.report(out)
 }
 
 #[cfg(test)]
@@ -249,10 +297,12 @@ mod tests {
             ..BenchConfig::default()
         };
         let mut buf = Vec::new();
-        run(&cfg, &mut buf, &mut Report::new("fig12"));
+        let ok = run(&cfg, &mut buf, &mut Report::new("fig12"));
         let text = String::from_utf8(buf).unwrap();
         assert!(text.contains("Fig 12a"));
         assert!(text.contains("Fig 12d"));
+        assert!(ok, "guard must pass: {text}");
+        assert!(text.contains("parity guard: PASS"), "{text}");
         // Shape check on 12a's single row: JUST <= JUSTc (the paper's
         // headline: Z2T beats the century-period Z3).
         let sec = text.split("Fig 12a").nth(1).unwrap();

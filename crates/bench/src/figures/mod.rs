@@ -22,7 +22,8 @@ pub mod tables;
 use crate::workload::{order_rows, traj_rows, Order, TrajRecord};
 use just_core::{Engine, EngineConfig};
 use just_curves::TimePeriod;
-use just_storage::{Field, FieldType, IndexKind, Schema};
+use just_geo::{Geometry, Rect};
+use just_storage::{Field, FieldType, IndexKind, Schema, SpatialPredicate};
 use std::path::PathBuf;
 use std::time::Duration;
 
@@ -140,4 +141,123 @@ pub fn build_traj_table(
         te.engine.flush_all().expect("flush");
     });
     (te, elapsed)
+}
+
+/// The range parity guard of Figs 11 and 12: each JUST answer checked is
+/// compared, as a set of record ids, with a brute-force scan of the
+/// generated data under the predicate the engine refines with.
+#[derive(Debug, Default)]
+pub struct RangeParity {
+    checked: usize,
+    mismatches: Vec<String>,
+}
+
+impl RangeParity {
+    /// Runs one Order query on `te` (`geom` within `window`, and `time`
+    /// inside `t` when given) and checks its ids.
+    pub fn orders(
+        &mut self,
+        label: &str,
+        te: &TempEngine,
+        orders: &[Order],
+        window: &Rect,
+        t: Option<(i64, i64)>,
+    ) {
+        let want = orders
+            .iter()
+            .filter(|o| Geometry::Point(o.point).within_rect(window))
+            .filter(|o| t.is_none_or(|(a, b)| a <= o.time_ms && o.time_ms <= b))
+            .map(|o| o.fid.to_string());
+        self.check(
+            label,
+            te,
+            "orders",
+            window,
+            t,
+            SpatialPredicate::Within,
+            want,
+        );
+    }
+
+    /// Runs one Traj query on `te` (MBR intersecting `window`, and the
+    /// trajectory's time span overlapping `t` when given) and checks its
+    /// ids.
+    pub fn trajs(
+        &mut self,
+        label: &str,
+        te: &TempEngine,
+        trajs: &[TrajRecord],
+        window: &Rect,
+        t: Option<(i64, i64)>,
+    ) {
+        let want = trajs
+            .iter()
+            .filter(|r| Geometry::Rect(r.mbr()).intersects_rect(window))
+            .filter(|r| {
+                let (t0, t1) = r.time_span();
+                t.is_none_or(|(a, b)| t1 >= a && t0 <= b)
+            })
+            .map(|r| r.oid.clone());
+        self.check(
+            label,
+            te,
+            "traj",
+            window,
+            t,
+            SpatialPredicate::Intersects,
+            want,
+        );
+    }
+
+    #[allow(clippy::too_many_arguments)]
+    fn check(
+        &mut self,
+        label: &str,
+        te: &TempEngine,
+        table: &str,
+        window: &Rect,
+        t: Option<(i64, i64)>,
+        predicate: SpatialPredicate,
+        want: impl Iterator<Item = String>,
+    ) {
+        let got = match t {
+            Some((a, b)) => te.engine.st_range(table, window, a, b, predicate),
+            None => te.engine.spatial_range(table, window, predicate),
+        }
+        .expect("range query");
+        let mut got: Vec<String> = got.rows.iter().map(|r| r.values[0].to_string()).collect();
+        let mut want: Vec<String> = want.collect();
+        got.sort_unstable();
+        want.sort_unstable();
+        self.checked += 1;
+        if got != want {
+            self.mismatches.push(format!(
+                "{label} {table} {window:?}{}: {} rows, want {}",
+                t.map(|(a, b)| format!(" t=[{a}, {b}]")).unwrap_or_default(),
+                got.len(),
+                want.len()
+            ));
+        }
+    }
+
+    /// Writes the `parity guard: PASS|FAIL` line; `true` on PASS.
+    pub fn report(&self, out: &mut impl std::io::Write) -> bool {
+        let ok = self.mismatches.is_empty() && self.checked > 0;
+        writeln!(
+            out,
+            "parity guard: {} ({} of {} range answers differ from brute force{}{})",
+            if ok { "PASS" } else { "FAIL" },
+            self.mismatches.len(),
+            self.checked,
+            if self.mismatches.is_empty() { "" } else { ": " },
+            self.mismatches
+                .iter()
+                .take(5)
+                .cloned()
+                .collect::<Vec<_>>()
+                .join("; "),
+        )
+        .unwrap();
+        ok
+    }
 }

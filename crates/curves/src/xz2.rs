@@ -8,8 +8,10 @@
 //! code so that every subtree occupies a contiguous code interval, which
 //! makes "everything under this cell" a single key range.
 
-use crate::range::{merge_ranges, KeyRange, RangeOptions};
-use crate::{cell_rect, norm_lat, norm_lng};
+use crate::range::{
+    overlap, walk, xz_code, xz_subtree_size, Cell, CellCurve, KeyRange, Overlap, RangeOptions,
+};
+use crate::{cell_rect, discretize, norm_lat, norm_lng};
 use just_geo::Rect;
 
 /// XZ-ordering over the longitude/latitude plane.
@@ -49,7 +51,7 @@ impl Xz2 {
         let (x_min, y_min) = (norm_lng(mbr.min_x), norm_lat(mbr.min_y));
         let (x_max, y_max) = (norm_lng(mbr.max_x), norm_lat(mbr.max_y));
         let l = self.element_level(x_max - x_min, y_max - y_min, x_min, y_min);
-        self.sequence_code(x_min, y_min, l)
+        self.cell_code(l, discretize(x_min, l), discretize(y_min, l))
     }
 
     /// The largest level whose enlarged cell contains the object.
@@ -76,33 +78,12 @@ impl Xz2 {
         }
     }
 
-    /// Depth-first sequence code of the level-`l` cell containing
-    /// `(x, y)` (normalised coordinates).
-    fn sequence_code(&self, x: f64, y: f64, l: u32) -> u64 {
-        let mut code = 0u64;
-        let (mut cx, mut cy, mut w) = (0.0f64, 0.0f64, 1.0f64);
-        for i in 1..=l {
-            w /= 2.0;
-            let qx = if x >= cx + w { 1u64 } else { 0 };
-            let qy = if y >= cy + w { 1u64 } else { 0 };
-            let quadrant = qx | (qy << 1);
-            code += 1 + quadrant * subtree_size(self.g, i);
-            cx += qx as f64 * w;
-            cy += qy as f64 * w;
-        }
-        code
-    }
-
     /// The sequence code of the level-`level` quadtree cell `(x, y)`
     /// (cell coordinates at that level, `0..2^level`): the code of every
     /// object whose element is that cell.
     pub fn cell_code(&self, level: u32, x: u64, y: u64) -> u64 {
         debug_assert!(level <= self.g);
-        (1..=level).fold(0, |code, i| {
-            let shift = level - i;
-            let quadrant = ((x >> shift) & 1) | (((y >> shift) & 1) << 1);
-            code + 1 + quadrant * subtree_size(self.g, i)
-        })
+        xz_code(self.g, Cell { level, x, y, t: 0 }, 2)
     }
 
     /// The codes of every object whose element is the cell `(x, y)` at
@@ -126,86 +107,56 @@ impl Xz2 {
 
     /// Decomposes a query window into merged code ranges.
     ///
-    /// A node's *enlarged* cell bounds every object stored at it, so:
+    /// A cell's *enlarged* cell bounds every object stored at it, so:
     /// window ⊇ enlarged cell ⟹ whole subtree matches (one range);
     /// window ∩ enlarged cell ≠ ∅ ⟹ this cell may hold matches (single
     /// code) and children are explored; otherwise the subtree is pruned.
     pub fn ranges(&self, query: &Rect, opts: &RangeOptions) -> Vec<KeyRange> {
-        let query = match query.intersection(&just_geo::WORLD) {
-            Some(q) => q,
-            None => return Vec::new(),
-        };
-        let q = NormRect {
-            x_min: norm_lng(query.min_x),
-            y_min: norm_lat(query.min_y),
-            x_max: norm_lng(query.max_x),
-            y_max: norm_lat(query.max_y),
-        };
-        let mut out = Vec::new();
-        let max_level = opts.max_recursion.min(self.g);
-        self.descend(
-            &q,
-            0.0,
-            0.0,
-            1.0,
-            0,
-            0,
-            max_level,
-            opts.max_ranges,
-            &mut out,
-        );
-        merge_ranges(out)
+        match self.window(query) {
+            Some(w) => walk(&w, opts.max_ranges).0,
+            None => Vec::new(),
+        }
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn descend(
-        &self,
-        q: &NormRect,
-        cx: f64,
-        cy: f64,
-        w: f64,
-        level: u32,
-        code: u64,
-        max_level: u32,
-        max_ranges: usize,
-        out: &mut Vec<KeyRange>,
-    ) {
-        // Enlarged cell: doubled width and height.
-        let ext = NormRect {
-            x_min: cx,
-            y_min: cy,
-            x_max: cx + 2.0 * w,
-            y_max: cy + 2.0 * w,
-        };
-        if !q.intersects(&ext) {
-            return;
-        }
-        let subtree = subtree_size(self.g, level);
-        if q.contains(&ext) || level == max_level || out.len() >= max_ranges {
-            // Everything stored at this cell or below is a candidate. When
-            // the window fully contains the enlarged cell this is exact;
-            // at the recursion/budget limit it is a sound over-approximation.
-            out.push(KeyRange::new(code, code + subtree - 1));
-            return;
-        }
-        // The element stored at this cell itself may match.
-        out.push(KeyRange::point(code));
-        let half = w / 2.0;
-        let child_subtree = subtree_size(self.g, level + 1);
-        for quadrant in 0..4u64 {
-            let (dx, dy) = ((quadrant & 1) as f64, (quadrant >> 1) as f64);
-            self.descend(
-                q,
-                cx + dx * half,
-                cy + dy * half,
-                half,
-                level + 1,
-                code + 1 + quadrant * child_subtree,
-                max_level,
-                max_ranges,
-                out,
-            );
-        }
+    /// The window in normalised coordinates, or `None` off the world.
+    fn window(&self, query: &Rect) -> Option<Window> {
+        let query = query.intersection(&just_geo::WORLD)?;
+        Some(Window {
+            xz2: *self,
+            x: (norm_lng(query.min_x), norm_lng(query.max_x)),
+            y: (norm_lat(query.min_y), norm_lat(query.max_y)),
+        })
+    }
+}
+
+/// A query window over the XZ2 quadtree, normalised to `[0, 1]`.
+struct Window {
+    xz2: Xz2,
+    x: (f64, f64),
+    y: (f64, f64),
+}
+
+impl CellCurve for Window {
+    const DIMS: u32 = 2;
+
+    fn resolution(&self) -> u32 {
+        self.xz2.g
+    }
+
+    fn classify(&self, cell: Cell) -> Overlap {
+        // The enlarged cell (doubled width and height) bounds every
+        // object filed under the cell.
+        let w = 1.0 / (1u64 << cell.level) as f64;
+        let span = |c: u64| (c as f64 * w, (c + 2) as f64 * w);
+        overlap([(span(cell.x), self.x), (span(cell.y), self.y)])
+    }
+
+    fn covering(&self, cell: Cell) -> KeyRange {
+        self.xz2.cell_range(cell.level, cell.x, cell.y)
+    }
+
+    fn own_code(&self, cell: Cell) -> Option<u64> {
+        Some(self.xz2.cell_code(cell.level, cell.x, cell.y))
     }
 }
 
@@ -213,32 +164,7 @@ impl Xz2 {
 /// (the cell itself plus all descendants down to level `g`):
 /// `(4^(g-level+1) - 1) / 3`.
 fn subtree_size(g: u32, level: u32) -> u64 {
-    let d = g - level + 1;
-    ((1u64 << (2 * d)) - 1) / 3
-}
-
-#[derive(Debug, Clone, Copy)]
-struct NormRect {
-    x_min: f64,
-    y_min: f64,
-    x_max: f64,
-    y_max: f64,
-}
-
-impl NormRect {
-    fn intersects(&self, other: &NormRect) -> bool {
-        self.x_min <= other.x_max
-            && self.x_max >= other.x_min
-            && self.y_min <= other.y_max
-            && self.y_max >= other.y_min
-    }
-
-    fn contains(&self, other: &NormRect) -> bool {
-        other.x_min >= self.x_min
-            && other.x_max <= self.x_max
-            && other.y_min >= self.y_min
-            && other.y_max <= self.y_max
-    }
+    xz_subtree_size(g, level, 2)
 }
 
 #[cfg(test)]
@@ -412,6 +338,22 @@ mod tests {
             KeyRange::new(0, xz.code_space() - 1)
         );
         assert_eq!(xz.cell_range(xz.g(), 5, 9).len(), 1);
+    }
+
+    #[test]
+    fn a_5km_window_is_planned_past_level_12() {
+        // Level 9 (the old fixed cut) is ~60 km across; the budgeted
+        // walk keeps refining a city-sized window far below that.
+        let xz = Xz2::default();
+        for (lng, lat) in [(116.4, 39.9), (-73.97, 40.78), (151.2, -33.9)] {
+            let window = Rect::window_km(just_geo::Point::new(lng, lat), 5.0);
+            let (ranges, level) = crate::range::walk(
+                &xz.window(&window).unwrap(),
+                RangeOptions::default().max_ranges,
+            );
+            assert!(level >= 12, "({lng}, {lat}): stopped at level {level}");
+            assert!(ranges.len() <= RangeOptions::default().max_ranges);
+        }
     }
 
     #[test]

@@ -8,8 +8,11 @@
 //! assign very shallow octree cells and destroys spatial selectivity
 //! (Section IV-C and Figure 5a).
 
-use crate::range::{merge_ranges, KeyRange, PeriodRange, RangeOptions};
-use crate::{norm_lat, norm_lng, TimePeriod};
+use crate::range::{
+    overlap, walk, xz_code, xz_subtree_size, Cell, CellCurve, KeyRange, Overlap, PeriodRange,
+    RangeOptions,
+};
+use crate::{discretize, norm_lat, norm_lng, TimePeriod};
 use just_geo::Rect;
 
 /// A spatio-temporal MBR: the input to XZ3 indexing.
@@ -84,7 +87,12 @@ impl Xz3 {
             y_min,
             t_lo,
         );
-        (period, self.sequence_code(x_min, y_min, t_lo, l))
+        let (x, y, t) = (
+            discretize(x_min, l),
+            discretize(y_min, l),
+            discretize(t_lo, l),
+        );
+        (period, xz_code(self.g, Cell { level: l, x, y, t }, 3))
     }
 
     fn element_level(&self, w: f64, h: f64, d: f64, x: f64, y: f64, t: f64) -> u32 {
@@ -108,24 +116,8 @@ impl Xz3 {
         }
     }
 
-    fn sequence_code(&self, x: f64, y: f64, t: f64, l: u32) -> u64 {
-        let mut code = 0u64;
-        let (mut cx, mut cy, mut ct, mut w) = (0.0f64, 0.0f64, 0.0f64, 1.0f64);
-        for i in 1..=l {
-            w /= 2.0;
-            let qx = if x >= cx + w { 1u64 } else { 0 };
-            let qy = if y >= cy + w { 1u64 } else { 0 };
-            let qt = if t >= ct + w { 1u64 } else { 0 };
-            let octant = qx | (qy << 1) | (qt << 2);
-            code += 1 + octant * subtree_size(self.g, i);
-            cx += qx as f64 * w;
-            cy += qy as f64 * w;
-            ct += qt as f64 * w;
-        }
-        code
-    }
-
-    /// Decomposes a spatio-temporal window into per-period code ranges.
+    /// Decomposes a spatio-temporal window into per-period code ranges,
+    /// the budget shared evenly by the periods scanned.
     pub fn ranges(
         &self,
         query: &Rect,
@@ -140,9 +132,8 @@ impl Xz3 {
         if t_min > t_max {
             return Vec::new();
         }
-        let qx = (norm_lng(query.min_x), norm_lng(query.max_x));
-        let qy = (norm_lat(query.min_y), norm_lat(query.max_y));
-        let mut out = Vec::new();
+        let x = (norm_lng(query.min_x), norm_lng(query.max_x));
+        let y = (norm_lat(query.min_y), norm_lat(query.max_y));
         // Objects are stored in the period of their t_min, but an object
         // starting in an earlier period can extend into the query window;
         // scanning one extra period backwards bounds the miss to objects
@@ -150,6 +141,8 @@ impl Xz3 {
         // day-period configuration makes for multi-day trajectories).
         let first = self.period.period_of(t_min) - 1;
         let last = self.period.period_of(t_max);
+        let opts = opts.per_period((last - first + 1) as usize);
+        let mut out = Vec::new();
         for period in first..=last {
             let p_start = self.period.start_of(period);
             let p_len = self.period.len_ms() as f64;
@@ -161,82 +154,60 @@ impl Xz3 {
             if qt_lo >= 2.0 || qt_hi <= 0.0 {
                 continue;
             }
-            let mut ranges = Vec::new();
-            let max_level = opts.max_recursion.min(self.g);
-            self.descend(
-                (qx.0, qx.1, qy.0, qy.1, qt_lo, qt_hi),
-                (0.0, 0.0, 0.0, 1.0),
-                0,
-                0,
-                max_level,
-                opts.max_ranges,
-                &mut ranges,
-            );
-            for r in merge_ranges(ranges) {
-                out.push(PeriodRange { period, range: r });
+            let window = Window {
+                xz3: *self,
+                x,
+                y,
+                t: (qt_lo, qt_hi),
+            };
+            for range in walk(&window, opts.max_ranges).0 {
+                out.push(PeriodRange { period, range });
             }
         }
         out
     }
+}
 
-    #[allow(clippy::too_many_arguments)]
-    fn descend(
-        &self,
-        q: (f64, f64, f64, f64, f64, f64),
-        cell: (f64, f64, f64, f64), // (cx, cy, ct, w)
-        level: u32,
-        code: u64,
-        max_level: u32,
-        max_ranges: usize,
-        out: &mut Vec<KeyRange>,
-    ) {
-        let (qx_lo, qx_hi, qy_lo, qy_hi, qt_lo, qt_hi) = q;
-        let (cx, cy, ct, w) = cell;
-        // Enlarged cell: doubled in every dimension.
-        let intersects = qx_lo <= cx + 2.0 * w
-            && qx_hi >= cx
-            && qy_lo <= cy + 2.0 * w
-            && qy_hi >= cy
-            && qt_lo <= ct + 2.0 * w
-            && qt_hi >= ct;
-        if !intersects {
-            return;
-        }
-        let subtree = subtree_size(self.g, level);
-        let contained = qx_lo <= cx
-            && qx_hi >= cx + 2.0 * w
-            && qy_lo <= cy
-            && qy_hi >= cy + 2.0 * w
-            && qt_lo <= ct
-            && qt_hi >= ct + 2.0 * w;
-        if contained || level == max_level || out.len() >= max_ranges {
-            out.push(KeyRange::new(code, code + subtree - 1));
-            return;
-        }
-        out.push(KeyRange::point(code));
-        let half = w / 2.0;
-        let child_subtree = subtree_size(self.g, level + 1);
-        for octant in 0..8u64 {
-            let dx = (octant & 1) as f64;
-            let dy = ((octant >> 1) & 1) as f64;
-            let dt = (octant >> 2) as f64;
-            self.descend(
-                q,
-                (cx + dx * half, cy + dy * half, ct + dt * half, half),
-                level + 1,
-                code + 1 + octant * child_subtree,
-                max_level,
-                max_ranges,
-                out,
-            );
-        }
+/// One period's query window over the XZ3 octree, normalised (time may
+/// run past 1 into the next period).
+struct Window {
+    xz3: Xz3,
+    x: (f64, f64),
+    y: (f64, f64),
+    t: (f64, f64),
+}
+
+impl CellCurve for Window {
+    const DIMS: u32 = 3;
+
+    fn resolution(&self) -> u32 {
+        self.xz3.g
+    }
+
+    fn classify(&self, cell: Cell) -> Overlap {
+        // The enlarged cell, doubled in every dimension.
+        let w = 1.0 / (1u64 << cell.level) as f64;
+        let span = |c: u64| (c as f64 * w, (c + 2) as f64 * w);
+        overlap([
+            (span(cell.x), self.x),
+            (span(cell.y), self.y),
+            (span(cell.t), self.t),
+        ])
+    }
+
+    fn covering(&self, cell: Cell) -> KeyRange {
+        let code = xz_code(self.xz3.g, cell, 3);
+        KeyRange::new(code, code + subtree_size(self.xz3.g, cell.level) - 1)
+    }
+
+    fn own_code(&self, cell: Cell) -> Option<u64> {
+        Some(xz_code(self.xz3.g, cell, 3))
     }
 }
 
 /// `(8^(g-level+1) - 1) / 7`: codes in a subtree rooted at `level`.
 fn subtree_size(g: u32, level: u32) -> u64 {
-    let d = g - level + 1;
-    ((1u64 << (3 * d)) - 1) / 7
+    xz_subtree_size(g, level, 3)
 }
 
 #[cfg(test)]

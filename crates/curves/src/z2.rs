@@ -1,7 +1,7 @@
 //! The Z2 index: Morton order over (longitude, latitude) for point data.
 
 use crate::morton::{deinterleave2, interleave2};
-use crate::range::{merge_ranges, KeyRange, RangeOptions};
+use crate::range::{overlap, walk, Cell, CellCurve, KeyRange, Overlap, RangeOptions};
 use crate::{cell_rect, discretize, norm_lat, norm_lng};
 use just_geo::Rect;
 
@@ -68,87 +68,63 @@ impl Z2 {
         cell_rect(x, x + side, y, y + side)
     }
 
-    /// Decomposes a query window into merged inclusive code ranges by
-    /// recursive quadrant splitting (the GeoMesa approach): a quadrant
-    /// wholly inside the window contributes its whole code subtree; a
-    /// partially-covered quadrant is split until the recursion budget is
-    /// exhausted, at which point its covering range is emitted.
+    /// Decomposes a query window into merged inclusive code ranges (the
+    /// GeoMesa approach): a quadrant wholly inside the window contributes
+    /// its whole code subtree; partially covered quadrants are split
+    /// level by level while `opts.max_ranges` allows, then emitted whole.
     pub fn ranges(&self, query: &Rect, opts: &RangeOptions) -> Vec<KeyRange> {
-        let query = match query.intersection(&just_geo::WORLD) {
-            Some(q) => q,
-            None => return Vec::new(),
-        };
-        // Work in discrete cell space to avoid floating-point edge cases.
-        let qx_lo = discretize(norm_lng(query.min_x), self.bits);
-        let qx_hi = discretize(norm_lng(query.max_x), self.bits);
-        let qy_lo = discretize(norm_lat(query.min_y), self.bits);
-        let qy_hi = discretize(norm_lat(query.max_y), self.bits);
-        let mut out = Vec::new();
-        let max_level = opts.max_recursion.min(self.bits);
-        decompose2(
-            self.bits,
-            0,
-            0,
-            0,
-            max_level,
-            opts.max_ranges,
-            (qx_lo, qx_hi, qy_lo, qy_hi),
-            &mut out,
-        );
-        merge_ranges(out)
+        match self.window(query) {
+            Some(w) => walk(&w, opts.max_ranges).0,
+            None => Vec::new(),
+        }
+    }
+
+    /// The window in discrete cell space (which sidesteps floating-point
+    /// edge cases), or `None` off the world.
+    fn window(&self, query: &Rect) -> Option<Window> {
+        let query = query.intersection(&just_geo::WORLD)?;
+        Some(Window {
+            z2: *self,
+            x: (
+                discretize(norm_lng(query.min_x), self.bits),
+                discretize(norm_lng(query.max_x), self.bits),
+            ),
+            y: (
+                discretize(norm_lat(query.min_y), self.bits),
+                discretize(norm_lat(query.max_y), self.bits),
+            ),
+        })
     }
 }
 
-/// Recursive quadrant decomposition in cell space.
-///
-/// `prefix` holds the Morton code of the current quadrant shifted to its
-/// level; the quadrant at `level` spans `side = 2^(bits-level)` cells per
-/// dimension starting at `(x0, y0)`.
-#[allow(clippy::too_many_arguments)]
-fn decompose2(
-    bits: u32,
-    prefix: u64,
-    level: u32,
-    origin: u64, // packed (x0, y0) as morton of the cell origin
-    max_level: u32,
-    max_ranges: usize,
-    q: (u64, u64, u64, u64),
-    out: &mut Vec<KeyRange>,
-) {
-    let (qx_lo, qx_hi, qy_lo, qy_hi) = q;
-    let shift = bits - level;
-    let (x0, y0) = deinterleave2(origin);
-    let side = 1u64 << shift;
-    let (cx_lo, cx_hi) = (x0, x0 + side - 1);
-    let (cy_lo, cy_hi) = (y0, y0 + side - 1);
-    // Disjoint?
-    if cx_hi < qx_lo || cx_lo > qx_hi || cy_hi < qy_lo || cy_lo > qy_hi {
-        return;
+/// The deepest level a Z2 window is planned to: XZ2's level-16 grid.
+/// Below it each level only doubles the ranges along the window's edge:
+/// on 3 km windows over 20k orders, planning on to the budget gave ten
+/// times the ranges for under one key saved per window.
+const PLAN_LEVELS: u32 = 16;
+
+/// A query window over the Z2 quadtree: inclusive finest-cell bounds.
+struct Window {
+    z2: Z2,
+    x: (u64, u64),
+    y: (u64, u64),
+}
+
+impl CellCurve for Window {
+    const DIMS: u32 = 2;
+
+    fn resolution(&self) -> u32 {
+        self.z2.bits.min(PLAN_LEVELS)
     }
-    let code_lo = prefix << (2 * shift);
-    let code_hi = code_lo + ((1u64 << (2 * shift)) - 1);
-    // Fully contained, at max depth, or out of range budget: emit covering
-    // range.
-    let contained = cx_lo >= qx_lo && cx_hi <= qx_hi && cy_lo >= qy_lo && cy_hi <= qy_hi;
-    if contained || level == max_level || out.len() >= max_ranges {
-        out.push(KeyRange::new(code_lo, code_hi));
-        return;
+
+    fn classify(&self, cell: Cell) -> Overlap {
+        let shift = self.z2.bits - cell.level;
+        let span = |c: u64| (c << shift, ((c + 1) << shift) - 1);
+        overlap([(span(cell.x), self.x), (span(cell.y), self.y)])
     }
-    // Recurse into the four children in Morton order.
-    let half = side >> 1;
-    for quadrant in 0..4u64 {
-        let (dx, dy) = (quadrant & 1, quadrant >> 1);
-        let child_origin = interleave2(x0 + dx * half, y0 + dy * half);
-        decompose2(
-            bits,
-            (prefix << 2) | quadrant,
-            level + 1,
-            child_origin,
-            max_level,
-            max_ranges,
-            q,
-            out,
-        );
+
+    fn covering(&self, cell: Cell) -> KeyRange {
+        self.z2.cell_range(cell.level, cell.x, cell.y)
     }
 }
 
@@ -228,23 +204,59 @@ mod tests {
 
     #[test]
     fn deeper_recursion_tightens_selectivity() {
+        // A larger budget lets the walk recurse deeper: the covered span
+        // never grows with the budget and the finest plan is strictly
+        // tighter than the coarsest.
         let z2 = Z2::default();
         let window = Rect::new(116.0, 39.0, 116.2, 39.2);
-        let span = |opts: &RangeOptions| -> u128 {
-            z2.ranges(&window, opts)
+        let span = |max_ranges: usize| -> u128 {
+            z2.ranges(&window, &RangeOptions { max_ranges })
                 .iter()
                 .map(|r| r.len() as u128)
                 .sum()
         };
-        let coarse = span(&RangeOptions {
-            max_recursion: 4,
-            max_ranges: 4096,
-        });
-        let fine = span(&RangeOptions {
-            max_recursion: 12,
-            max_ranges: 4096,
-        });
+        let spans: Vec<u128> = [4, 16, 64, 256, 1024, 4096].map(span).to_vec();
+        assert!(
+            spans.windows(2).all(|w| w[1] <= w[0]),
+            "spans grow with the budget: {spans:?}"
+        );
+        let (coarse, fine) = (spans[0], spans[5]);
         assert!(fine < coarse, "fine {fine} !< coarse {coarse}");
+    }
+
+    #[test]
+    fn a_small_budget_refines_every_quadrant_alike() {
+        // A window symmetric about the origin is cut the same way in all
+        // four level-1 quadrants, whatever the budget: the walk refines
+        // whole levels, so the last quadrant in curve order is never left
+        // coarser than the first once the budget runs short.
+        let z2 = Z2::default();
+        let window = Rect::new(-10.3, -7.7, 10.3, 7.7);
+        for max_ranges in [4usize, 9, 16, 40, 64, 200] {
+            let ranges = z2.ranges(&window, &RangeOptions { max_ranges });
+            let spans: Vec<u128> = (0..4u64)
+                .map(|q| {
+                    let quadrant = z2.cell_range(1, q & 1, q >> 1);
+                    ranges
+                        .iter()
+                        .filter(|r| quadrant.contains(r.lo))
+                        .map(|r| r.len() as u128)
+                        .sum()
+                })
+                .collect();
+            assert!(
+                spans.iter().all(|&s| s == spans[0]),
+                "budget {max_ranges}: per-quadrant spans {spans:?}"
+            );
+        }
+        // The budget binds here: a larger one tightens the plan.
+        let span = |max_ranges| -> u128 {
+            z2.ranges(&window, &RangeOptions { max_ranges })
+                .iter()
+                .map(|r| r.len() as u128)
+                .sum()
+        };
+        assert!(span(200) < span(16));
     }
 
     #[test]

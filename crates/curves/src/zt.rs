@@ -14,10 +14,11 @@
 //! and the spatial code keeps full selectivity — fixing the scale-mismatch
 //! problem that makes Z3/XZ3 degenerate for typical urban queries.
 
-use crate::range::{PeriodRange, RangeOptions};
+use crate::range::{KeyRange, PeriodRange, RangeOptions};
 use crate::xz3::StMbr;
 use crate::{TimePeriod, Xz2, Z2};
 use just_geo::Rect;
+use std::ops::RangeInclusive;
 
 /// The Z2T strategy for point data.
 #[derive(Debug, Clone, Copy)]
@@ -61,7 +62,9 @@ impl Z2t {
 
     /// Query planning, Section IV-B: find the qualified periods, compute
     /// the *single* set of Z2 ranges for the window, and replicate it per
-    /// period. (The per-period scans then run in parallel, step 3.)
+    /// period. (The per-period scans then run in parallel, step 3.) The
+    /// spatial walk gets the budget's per-period share, so
+    /// `opts.max_ranges` bounds the whole plan.
     pub fn ranges(
         &self,
         query: &Rect,
@@ -72,17 +75,8 @@ impl Z2t {
         if t_min > t_max {
             return Vec::new();
         }
-        let spatial = self.z2.ranges(query, opts);
-        let mut out = Vec::with_capacity(spatial.len());
-        for period in self.period.periods_covering(t_min, t_max) {
-            for range in &spatial {
-                out.push(PeriodRange {
-                    period,
-                    range: *range,
-                });
-            }
-        }
-        out
+        let periods = self.period.periods_covering(t_min, t_max);
+        replicate(periods, |opts| self.z2.ranges(query, opts), opts)
     }
 }
 
@@ -129,7 +123,8 @@ impl Xz2t {
     /// query using XZ2T is similar to that of Z2T". Because objects are
     /// filed under the period of their `t_min`, the scan includes one
     /// look-back period so objects starting just before the window are
-    /// still found (they are post-filtered exactly afterwards).
+    /// still found (they are post-filtered exactly afterwards). As for
+    /// Z2T, the spatial walk gets the budget's per-period share.
     pub fn ranges(
         &self,
         query: &Rect,
@@ -140,26 +135,32 @@ impl Xz2t {
         if t_min > t_max {
             return Vec::new();
         }
-        let spatial = self.xz2.ranges(query, opts);
-        let first = self.period.period_of(t_min) - 1;
-        let last = self.period.period_of(t_max);
-        let mut out = Vec::with_capacity(spatial.len());
-        for period in first..=last {
-            for range in &spatial {
-                out.push(PeriodRange {
-                    period,
-                    range: *range,
-                });
-            }
-        }
-        out
+        let periods = self.period.period_of(t_min) - 1..=self.period.period_of(t_max);
+        replicate(periods, |opts| self.xz2.ranges(query, opts), opts)
     }
+}
+
+/// One spatial plan, made with each period's share of the budget, under
+/// every period of `periods`.
+fn replicate(
+    periods: RangeInclusive<i32>,
+    spatial: impl FnOnce(&RangeOptions) -> Vec<KeyRange>,
+    opts: &RangeOptions,
+) -> Vec<PeriodRange> {
+    let spatial = spatial(&opts.per_period(periods.clone().count()));
+    periods
+        .flat_map(|period| {
+            spatial
+                .iter()
+                .map(move |&range| PeriodRange { period, range })
+        })
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::range::RangeOptions;
+    use crate::range::{KeyRange, RangeOptions};
 
     const HOUR_MS: i64 = 3_600_000;
     const DAY_MS: i64 = 24 * HOUR_MS;
@@ -177,10 +178,60 @@ mod tests {
         let z2t = Z2t::new(TimePeriod::Day);
         let window = Rect::new(116.0, 39.0, 116.2, 39.2);
         let opts = RangeOptions::default();
-        let spatial = z2t.z2().ranges(&window, &opts);
+        let share = RangeOptions {
+            max_ranges: opts.max_ranges / 3,
+        };
+        let spatial = z2t.z2().ranges(&window, &share);
         let ranges = z2t.ranges(&window, HOUR_MS, 2 * DAY_MS + HOUR_MS, &opts);
-        // Three periods (0, 1, 2), each carrying the full spatial set.
+        // Three periods (0, 1, 2), each carrying the same spatial set,
+        // planned with a third of the budget.
         assert_eq!(ranges.len(), 3 * spatial.len());
+        for period in 0..3 {
+            let got: Vec<KeyRange> = ranges
+                .iter()
+                .filter(|r| r.period == period)
+                .map(|r| r.range)
+                .collect();
+            assert_eq!(got, spatial, "period {period}");
+        }
+    }
+
+    #[test]
+    fn temporal_plans_split_the_budget_across_periods() {
+        // A 10-day window: 11 periods for Z2T, 12 with XZ2T's look-back
+        // period. Each period gets its share, so the whole plan stays
+        // within the budget.
+        let window = Rect::window_km(just_geo::Point::new(116.4, 39.9), 6.0);
+        let (t_min, t_max) = (HOUR_MS, 10 * DAY_MS + HOUR_MS);
+        for max_ranges in [64, 256, 2048] {
+            let opts = RangeOptions { max_ranges };
+            let z2t = Z2t::new(TimePeriod::Day);
+            let plan = z2t.ranges(&window, t_min, t_max, &opts);
+            assert!(
+                plan.len() <= max_ranges,
+                "z2t {} > {max_ranges}",
+                plan.len()
+            );
+            let share = RangeOptions {
+                max_ranges: max_ranges / 11,
+            };
+            assert_eq!(plan.len(), 11 * z2t.z2().ranges(&window, &share).len());
+
+            let xz2t = Xz2t::new(TimePeriod::Day);
+            let plan = xz2t.ranges(&window, t_min, t_max, &opts);
+            assert!(
+                plan.len() <= max_ranges,
+                "xz2t {} > {max_ranges}",
+                plan.len()
+            );
+            let share = RangeOptions {
+                max_ranges: max_ranges / 12,
+            };
+            assert_eq!(plan.len(), 12 * xz2t.xz2().ranges(&window, &share).len());
+            // The split bites: one period's unsplit plan is finer.
+            let unsplit = xz2t.xz2().ranges(&window, &opts).len();
+            assert!(max_ranges == 2048 || unsplit > plan.len() / 12);
+        }
     }
 
     #[test]

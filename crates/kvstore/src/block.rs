@@ -27,6 +27,8 @@
 //! In both formats `vflag = 0` marks a tombstone and
 //! `vflag = len(value)+1` a live value.
 
+use std::sync::Arc;
+
 /// Target on-disk block size in bytes (entries never split: a block can
 /// exceed this by one oversized entry).
 pub const DEFAULT_BLOCK_SIZE: usize = 4096;
@@ -205,10 +207,11 @@ impl BlockBuilder {
     }
 }
 
-/// A decoded (or decodable) block.
-#[derive(Debug)]
+/// A decoded (or decodable) block. The bytes are shared, so a block
+/// served from the block cache is a reference-count bump, not a copy.
+#[derive(Debug, Clone)]
 pub struct Block {
-    data: Vec<u8>,
+    data: Arc<Vec<u8>>,
     format: BlockFormat,
     /// V2: byte offset where entry data ends and the restart array
     /// begins; V1: `data.len()`.
@@ -222,6 +225,11 @@ impl Block {
     /// trailer is parsed (and bounds-checked) up front; malformed
     /// trailers yield a block that fails [`Block::validate`].
     pub fn new(data: Vec<u8>, format: BlockFormat) -> Self {
+        Self::shared(Arc::new(data), format)
+    }
+
+    /// [`Block::new`] over bytes shared with the block cache.
+    pub fn shared(data: Arc<Vec<u8>>, format: BlockFormat) -> Self {
         let (entries_end, restart_count) = match format {
             BlockFormat::V1 => (data.len(), 0),
             BlockFormat::V2 => parse_trailer(&data).unwrap_or((usize::MAX, 0)),
@@ -248,6 +256,8 @@ impl Block {
             format: self.format,
             key: Vec::new(),
             pending: None,
+            end_key: None,
+            past_end_key: false,
         }
     }
 
@@ -257,7 +267,17 @@ impl Block {
     /// restart points) and decode at most one restart interval; V1 blocks
     /// fall back to a linear scan.
     pub fn seek_iter(&self, target: &[u8]) -> BlockIter<'_> {
+        self.seek_from(BlockCursor::default(), target)
+    }
+
+    /// [`Block::seek_iter`] for a `target` at or past where an earlier
+    /// iterator over this block stopped (`cursor`, from
+    /// `BlockIter::into_cursor`): decoding resumes at the cursor
+    /// instead of the restart point when the cursor is further on, so
+    /// ascending seeks walk each entry of the block about once.
+    pub fn seek_from(&self, cursor: BlockCursor, target: &[u8]) -> BlockIter<'_> {
         let mut it = self.iter();
+        let mut restart = 0;
         if self.format == BlockFormat::V2 && self.restart_count > 0 {
             // Largest restart whose key <= target (binary search); start
             // decoding there. If even restart 0 is > target the block
@@ -268,7 +288,7 @@ impl Block {
             while lo < hi {
                 let mid = (lo + hi) / 2;
                 match self.restart_key(mid) {
-                    Some(k) if k.as_slice() <= target => lo = mid + 1,
+                    Some(k) if k <= target => lo = mid + 1,
                     Some(_) => hi = mid,
                     None => {
                         // Corrupt restart offset: poison and bail.
@@ -278,16 +298,36 @@ impl Block {
                 }
             }
             if lo > 0 {
-                if let Some(off) = self.restart_offset(lo - 1) {
-                    it.pos = off;
-                    it.key.clear();
-                }
+                restart = self.restart_offset(lo - 1).unwrap_or(0);
             }
         }
-        // Linear within the interval (V2) or from the start (V1).
-        while let Some(e) = it.next() {
-            if e.key.as_slice() >= target {
-                it.pending = Some(e);
+        if cursor.pos > restart && cursor.pos <= it.end {
+            // Resume: the cursor's entry (pending or last returned) is
+            // the prefix state for whatever follows it.
+            (it.pos, it.key, it.pending) = (cursor.pos, cursor.key, cursor.pending);
+            match it.pending {
+                Some(_) if it.key.as_slice() >= target => return it,
+                Some(vflag) => {
+                    it.pending = None;
+                    if it.skip_value(vflag).is_none() {
+                        return it;
+                    }
+                }
+                None => {}
+            }
+        } else {
+            it.pos = it.pos.max(restart);
+        }
+        // Linear within the interval (V2) or from the start (V1),
+        // stepping over values: the entry the seek lands on stays
+        // pending, its value copied out only if the caller takes it.
+        while it.pos < it.end {
+            let Some(vflag) = it.next_key() else { break };
+            if it.key.as_slice() >= target {
+                it.pending = Some(vflag);
+                break;
+            }
+            if it.skip_value(vflag).is_none() {
                 break;
             }
         }
@@ -303,7 +343,7 @@ impl Block {
 
     /// Decodes the full key stored at restart point `i` (restart entries
     /// always have `shared == 0`).
-    fn restart_key(&self, i: usize) -> Option<Vec<u8>> {
+    fn restart_key(&self, i: usize) -> Option<&[u8]> {
         let mut pos = self.restart_offset(i)?;
         let buf = &self.data[..self.entries_end];
         let shared = read_varint(buf, &mut pos)?;
@@ -312,7 +352,7 @@ impl Block {
         }
         let unshared = read_varint(buf, &mut pos)? as usize;
         read_varint(buf, &mut pos)?; // vflag, skipped
-        buf.get(pos..pos.checked_add(unshared)?).map(|s| s.to_vec())
+        buf.get(pos..pos.checked_add(unshared)?)
     }
 
     /// Checks that the whole block parses.
@@ -347,6 +387,11 @@ impl Block {
     pub fn size(&self) -> usize {
         self.data.len()
     }
+
+    /// The block's bytes, shared (for the block cache).
+    pub fn shared_bytes(&self) -> Arc<Vec<u8>> {
+        Arc::clone(&self.data)
+    }
 }
 
 /// Parses the V2 trailer, returning `(entries_end, restart_count)`.
@@ -362,6 +407,16 @@ fn parse_trailer(data: &[u8]) -> Option<(usize, usize)> {
     Some((data.len() - trailer, count))
 }
 
+/// Where a [`BlockIter`] stopped inside its block — position, prefix
+/// state and any entry decoded but not yet returned — so a later seek in
+/// the same block can resume there ([`Block::seek_from`]).
+#[derive(Debug, Default)]
+pub struct BlockCursor {
+    pos: usize,
+    key: Vec<u8>,
+    pending: Option<u64>,
+}
+
 /// Streaming decoder over a block's entries.
 #[derive(Debug)]
 pub struct BlockIter<'a> {
@@ -369,10 +424,16 @@ pub struct BlockIter<'a> {
     pos: usize,
     end: usize,
     format: BlockFormat,
-    /// V2 prefix state: the previous entry's full key.
+    /// The current entry's full key (V2: also the prefix state).
     key: Vec<u8>,
-    /// An entry decoded ahead by [`Block::seek_iter`].
-    pending: Option<BlockEntry>,
+    /// Set by [`Block::seek_iter`]: the value flag of the entry it
+    /// landed on, whose key is in `key` and whose value starts at `pos`.
+    pending: Option<u64>,
+    /// Set by [`BlockIter::until`]: iteration ends at the first key
+    /// greater than this.
+    end_key: Option<&'a [u8]>,
+    /// Whether iteration ended at `end_key` rather than the block end.
+    past_end_key: bool,
 }
 
 impl<'a> BlockIter<'a> {
@@ -380,24 +441,56 @@ impl<'a> BlockIter<'a> {
         self.pos = self.end + 1; // validate() fails
     }
 
-    fn next_v1(&mut self) -> Option<BlockEntry> {
-        let klen = read_varint(self.buf, &mut self.pos)? as usize;
-        let kend = self.pos.checked_add(klen)?;
-        if kend > self.end {
-            self.poison();
-            return None;
-        }
-        let key = self.buf[self.pos..kend].to_vec();
-        self.pos = kend;
-        let value = self.read_value()?;
-        Some(BlockEntry { key, value })
+    /// Ends the iteration at the first key greater than `end`, without
+    /// copying that entry's value out (range scans stop there).
+    pub fn until(mut self, end: &'a [u8]) -> Self {
+        self.end_key = Some(end);
+        self
     }
 
-    fn next_v2(&mut self) -> Option<BlockEntry> {
+    /// Whether the iteration stopped at the [`BlockIter::until`] bound —
+    /// the range ends inside this block — rather than at the block end.
+    pub fn past_end_key(&self) -> bool {
+        self.past_end_key
+    }
+
+    /// Whether `key` lies past the [`BlockIter::until`] bound.
+    fn past(&self, key: &[u8]) -> bool {
+        self.end_key.is_some_and(|end| key > end)
+    }
+
+    /// Ends the iteration at the [`BlockIter::until`] bound. The entry
+    /// past it stays pending, so a cursor taken here resumes on it.
+    fn stop(&mut self, vflag: u64) -> Option<BlockEntry> {
+        self.past_end_key = true;
+        self.pending = Some(vflag);
+        None
+    }
+
+    /// Where this iterator stopped, for a later [`Block::seek_from`] on
+    /// the same block.
+    pub fn into_cursor(self) -> BlockCursor {
+        BlockCursor {
+            pos: self.pos,
+            key: self.key,
+            pending: self.pending,
+        }
+    }
+
+    /// Decodes the next entry's header and key into `self.key`, leaving
+    /// `pos` at its value; returns the value flag.
+    fn next_key(&mut self) -> Option<u64> {
         let entries = &self.buf[..self.end];
-        let shared = read_varint(entries, &mut self.pos)? as usize;
-        let unshared = read_varint(entries, &mut self.pos)? as usize;
-        let vflag = read_varint(entries, &mut self.pos)?;
+        // V1 stores the value flag after the key, V2 before it.
+        let (shared, unshared, vflag) = match self.format {
+            BlockFormat::V1 => (0, read_varint(entries, &mut self.pos)? as usize, None),
+            BlockFormat::V2 => {
+                let shared = read_varint(entries, &mut self.pos)? as usize;
+                let unshared = read_varint(entries, &mut self.pos)? as usize;
+                let vflag = read_varint(entries, &mut self.pos)?;
+                (shared, unshared, Some(vflag))
+            }
+        };
         if shared > self.key.len() {
             self.poison();
             return None;
@@ -410,31 +503,34 @@ impl<'a> BlockIter<'a> {
         self.key.truncate(shared);
         self.key.extend_from_slice(&entries[self.pos..kend]);
         self.pos = kend;
-        let value = self.read_value_flag(vflag)?;
-        Some(BlockEntry {
-            key: self.key.clone(),
-            value,
-        })
-    }
-
-    fn read_value(&mut self) -> Option<Option<Vec<u8>>> {
-        let vflag = read_varint(self.buf, &mut self.pos)?;
-        self.read_value_flag(vflag)
-    }
-
-    fn read_value_flag(&mut self, vflag: u64) -> Option<Option<Vec<u8>>> {
-        if vflag == 0 {
-            return Some(None);
+        match vflag {
+            Some(vflag) => Some(vflag),
+            None => read_varint(entries, &mut self.pos),
         }
-        let vlen = (vflag - 1) as usize;
-        let vend = self.pos.checked_add(vlen)?;
+    }
+
+    /// The end of the value `vflag` announces at `pos`, bounds-checked.
+    fn value_end(&mut self, vflag: u64) -> Option<usize> {
+        let vend = self.pos.checked_add(vflag.saturating_sub(1) as usize)?;
         if vend > self.end {
             self.poison();
             return None;
         }
-        let v = self.buf[self.pos..vend].to_vec();
+        Some(vend)
+    }
+
+    /// Copies out the value at `pos` (`None` for a tombstone).
+    fn read_value(&mut self, vflag: u64) -> Option<Option<Vec<u8>>> {
+        let vend = self.value_end(vflag)?;
+        let v = (vflag != 0).then(|| self.buf[self.pos..vend].to_vec());
         self.pos = vend;
-        Some(Some(v))
+        Some(v)
+    }
+
+    /// Steps over the value at `pos` without copying it.
+    fn skip_value(&mut self, vflag: u64) -> Option<()> {
+        self.pos = self.value_end(vflag)?;
+        Some(())
     }
 }
 
@@ -442,16 +538,19 @@ impl<'a> Iterator for BlockIter<'a> {
     type Item = BlockEntry;
 
     fn next(&mut self) -> Option<BlockEntry> {
-        if let Some(e) = self.pending.take() {
-            return Some(e);
+        let vflag = match self.pending.take() {
+            Some(vflag) => vflag,
+            None if self.pos >= self.end => return None,
+            None => self.next_key()?,
+        };
+        if self.past(&self.key) {
+            return self.stop(vflag);
         }
-        if self.pos >= self.end {
-            return None;
-        }
-        match self.format {
-            BlockFormat::V1 => self.next_v1(),
-            BlockFormat::V2 => self.next_v2(),
-        }
+        let value = self.read_value(vflag)?;
+        Some(BlockEntry {
+            key: self.key.clone(),
+            value,
+        })
     }
 }
 
@@ -465,6 +564,37 @@ mod tests {
             b.add(k, *v);
         }
         Block::new(b.finish(), format)
+    }
+
+    #[test]
+    fn until_stops_at_the_first_key_past_the_bound() {
+        for format in [BlockFormat::V1, BlockFormat::V2] {
+            let keys: Vec<Vec<u8>> = (0..40u32)
+                .map(|i| format!("k{i:03}").into_bytes())
+                .collect();
+            let mut b = BlockBuilder::new(format);
+            for k in &keys {
+                b.add(k, Some(b"v"));
+            }
+            let block = Block::new(b.finish(), format);
+            // Bound mid-block: stops there, seeked or not.
+            let mut it = block.iter().until(b"k017");
+            let got: Vec<Vec<u8>> = it.by_ref().map(|e| e.key).collect();
+            assert_eq!(got, keys[..18], "{format:?}");
+            assert!(it.past_end_key());
+            let mut it = block.seek_iter(b"k010").until(b"k017x");
+            let got: Vec<Vec<u8>> = it.by_ref().map(|e| e.key).collect();
+            assert_eq!(got, keys[10..18], "{format:?}");
+            assert!(it.past_end_key());
+            // A seek that lands past the bound yields nothing.
+            let mut it = block.seek_iter(b"k020").until(b"k019");
+            assert!(it.next().is_none());
+            assert!(it.past_end_key());
+            // Bound past the block: the whole block, and no stop.
+            let mut it = block.iter().until(b"k999");
+            assert_eq!(it.by_ref().count(), 40);
+            assert!(!it.past_end_key());
+        }
     }
 
     #[test]

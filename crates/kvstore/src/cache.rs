@@ -8,8 +8,10 @@
 //! key vector, so a sample is an O(1) index draw rather than a walk of
 //! `HashMap` iteration order, which always visits the same leading
 //! buckets and would starve whole regions of the map of eviction
-//! pressure). Shards are keyed by SSTable file id, so dropping a file on
-//! compaction locks exactly one shard instead of sweeping all of them.
+//! pressure). Shards are picked by hashing the whole `(file id, block
+//! index)` key, so one large SSTable can fill the whole cache rather than
+//! one shard's share of it; dropping a file on compaction sweeps every
+//! shard.
 //!
 //! The cache stores *decompressed* block bytes: a hot block of a
 //! compressed table pays codec work once, at fill time. Cache hits are
@@ -102,13 +104,16 @@ impl BlockCache {
         self.capacity_per_shard > 0
     }
 
-    /// Shard choice depends on the file id only, so all blocks of one
-    /// SSTable live in one shard and [`BlockCache::invalidate_file`]
-    /// touches exactly that shard.
-    fn shard_of_file(&self, file_id: u64) -> usize {
-        let mut z = file_id.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    /// The shard owning a block: a SplitMix64-style mix of the file id
+    /// and the block index, so the blocks of one file spread over every
+    /// shard.
+    fn shard_of(&self, (file_id, block_idx): Key) -> usize {
+        let mut z = file_id
+            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+            .wrapping_add(block_idx as u64);
         z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        (z >> 32) as usize % SHARDS
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        (z ^ (z >> 31)) as usize % SHARDS
     }
 
     /// Fetches a cached block.
@@ -117,7 +122,7 @@ impl BlockCache {
             return None;
         }
         let key = (file_id, block_idx);
-        let mut shard = self.shards[self.shard_of_file(file_id)].lock();
+        let mut shard = self.shards[self.shard_of(key)].lock();
         shard.clock += 1;
         let clock = shard.clock;
         match shard.map.get_mut(&key) {
@@ -143,7 +148,7 @@ impl BlockCache {
             return;
         }
         let key = (file_id, block_idx);
-        let mut shard = self.shards[self.shard_of_file(file_id)].lock();
+        let mut shard = self.shards[self.shard_of(key)].lock();
         shard.clock += 1;
         let clock = shard.clock;
         let len = data.len();
@@ -191,18 +196,20 @@ impl BlockCache {
         }
     }
 
-    /// Drops every block belonging to a file (on compaction/removal).
-    /// Locks only the file's owning shard.
+    /// Drops every block belonging to a file (on compaction/removal),
+    /// sweeping every shard.
     pub fn invalidate_file(&self, file_id: u64) {
-        let mut shard = self.shards[self.shard_of_file(file_id)].lock();
-        let doomed: Vec<Key> = shard
-            .keys
-            .iter()
-            .filter(|(f, _)| *f == file_id)
-            .copied()
-            .collect();
-        for k in doomed {
-            shard.remove(&k);
+        for shard in &self.shards {
+            let mut shard = shard.lock();
+            let doomed: Vec<Key> = shard
+                .keys
+                .iter()
+                .filter(|(f, _)| *f == file_id)
+                .copied()
+                .collect();
+            for k in doomed {
+                shard.remove(&k);
+            }
         }
     }
 
@@ -261,25 +268,31 @@ mod tests {
         let c = BlockCache::new(1 << 20);
         c.put(1, 0, Arc::new(vec![0u8; 100]));
         c.put(1, 0, Arc::new(vec![0u8; 50]));
-        let shard = c.shards[c.shard_of_file(1)].lock();
+        let shard = c.shards[c.shard_of((1, 0))].lock();
         assert_eq!(shard.bytes, 50);
         assert_eq!(shard.keys.len(), 1);
         assert_eq!(shard.map[&(1, 0)].slot, 0);
     }
 
+    /// Block indexes of `file` that land in shard 0, in order.
+    fn shard0_blocks(c: &BlockCache, file: u64) -> impl Iterator<Item = usize> + '_ {
+        (0..).filter(move |&i| c.shard_of((file, i)) == 0)
+    }
+
     #[test]
     fn hot_blocks_survive_churn() {
-        // One file -> one shard: everything below fights over a single
-        // shard's capacity. A read-through workload (miss refills, as the
-        // SSTable read path does) with a hot set touched every round and
-        // a stream of cold blocks must keep a high hot hit ratio; the old
-        // HashMap-iteration sampling probed the same buckets every time,
-        // so eviction pressure concentrated there and hot entries living
-        // in those buckets were flushed over and over.
+        // Every block below lands in one shard, so everything fights over
+        // a single shard's capacity. A read-through workload (miss
+        // refills, as the SSTable read path does) with a hot set touched
+        // every round and a stream of cold blocks must keep a high hot
+        // hit ratio; the old HashMap-iteration sampling probed the same
+        // buckets every time, so eviction pressure concentrated there and
+        // hot entries living in those buckets were flushed over and over.
         let c = BlockCache::new(SHARDS * 64 * 1024); // 64 KiB per shard
-        let hot: Vec<usize> = (0..16).collect();
+        let hot: Vec<usize> = shard0_blocks(&c, 1).take(16).collect();
+        let mut cold = shard0_blocks(&c, 1).skip(16);
         let (mut accesses, mut misses) = (0u32, 0u32);
-        for round in 0..200usize {
+        for _round in 0..200usize {
             for &i in &hot {
                 accesses += 1;
                 if c.get(1, i).is_none() {
@@ -288,8 +301,8 @@ mod tests {
                 }
             }
             // A burst of cold blocks that overflows the shard.
-            for j in 0..8usize {
-                c.put(1, 1000 + round * 8 + j, Arc::new(vec![0u8; 4096]));
+            for j in cold.by_ref().take(8) {
+                c.put(1, j, Arc::new(vec![0u8; 4096]));
             }
         }
         let hit_ratio = 1.0 - f64::from(misses) / f64::from(accesses);
@@ -302,28 +315,56 @@ mod tests {
     #[test]
     fn invalidate_file_removes_blocks() {
         let c = BlockCache::new(1 << 20);
-        c.put(5, 0, Arc::new(vec![1u8; 10]));
-        c.put(5, 1, Arc::new(vec![1u8; 10]));
-        c.put(6, 0, Arc::new(vec![1u8; 10]));
+        for idx in 0..64 {
+            c.put(5, idx, Arc::new(vec![1u8; 10]));
+            c.put(6, idx, Arc::new(vec![1u8; 10]));
+        }
         c.invalidate_file(5);
-        assert!(c.get(5, 0).is_none());
-        assert!(c.get(5, 1).is_none());
-        assert!(c.get(6, 0).is_some());
-        // Accounting stays exact after slot-fixup removals.
-        let shard = c.shards[c.shard_of_file(5)].lock();
-        assert!(shard.keys.iter().all(|(f, _)| *f != 5));
+        for idx in 0..64 {
+            assert!(c.get(5, idx).is_none(), "file 5 block {idx} survived");
+            assert!(c.get(6, idx).is_some(), "file 6 block {idx} was dropped");
+        }
+        // Accounting stays exact after slot-fixup removals, in every
+        // shard the file's blocks were spread over.
+        for shard in &c.shards {
+            let shard = shard.lock();
+            assert!(shard.keys.iter().all(|(f, _)| *f != 5));
+            assert_eq!(shard.bytes, 10 * shard.keys.len());
+            for (slot, k) in shard.keys.iter().enumerate() {
+                assert_eq!(shard.map[k].slot, slot);
+            }
+        }
     }
 
     #[test]
-    fn file_blocks_share_a_shard() {
+    fn blocks_of_one_file_spread_over_every_shard() {
         let c = BlockCache::new(1 << 20);
-        for idx in 0..64usize {
-            assert_eq!(c.shard_of_file(7), c.shard_of_file(7), "idx {idx}");
+        let mut per_shard = [0usize; SHARDS];
+        for idx in 0..1600usize {
+            per_shard[c.shard_of((7, idx))] += 1;
         }
-        // Different files spread across shards.
-        let distinct: std::collections::HashSet<usize> =
-            (0..64u64).map(|f| c.shard_of_file(f)).collect();
-        assert!(distinct.len() > SHARDS / 2, "got {distinct:?}");
+        // 100 expected per shard.
+        assert!(
+            per_shard.iter().all(|&n| (60..=140).contains(&n)),
+            "{per_shard:?}"
+        );
+    }
+
+    #[test]
+    fn one_file_can_fill_more_than_one_shard() {
+        // 16 shards of 64 KiB: one file's 1 KiB blocks must be able to
+        // hold far more than one shard's share of the cache.
+        let c = BlockCache::new(SHARDS * 64 * 1024);
+        for idx in 0..768usize {
+            c.put(3, idx, Arc::new(vec![0u8; 1024]));
+        }
+        let resident = (0..768usize).filter(|&i| c.get(3, i).is_some()).count();
+        let total: usize = c.shards.iter().map(|s| s.lock().bytes).sum();
+        assert!(
+            resident * 1024 > 8 * 64 * 1024,
+            "{resident} blocks resident"
+        );
+        assert!(total <= SHARDS * 64 * 1024, "total {total}");
     }
 
     #[test]

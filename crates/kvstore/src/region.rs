@@ -67,7 +67,7 @@ use crate::ingest::{shard_of, IngestOptions, ShardedWal};
 use crate::maintenance::Kick;
 use crate::memtable::{MemTable, LATEST};
 use crate::metrics::IoMetrics;
-use crate::scan::{MergeStream, ScanSource};
+use crate::scan::{one_range, KeyRanges, MergeStream, ScanSource};
 use crate::sstable::{SsTable, SsTableBuilder, SstOptions};
 use crate::wal::DurabilityOptions;
 use crate::KvEntry;
@@ -107,8 +107,8 @@ impl RegionTraffic {
         self.bytes_written.fetch_add(bytes, Ordering::Relaxed);
     }
 
-    fn record_scan(&self) {
-        self.scans.fetch_add(1, Ordering::Relaxed);
+    fn record_scans(&self, n: u64) {
+        self.scans.fetch_add(n, Ordering::Relaxed);
     }
 
     pub(crate) fn record_scan_block(&self) {
@@ -659,35 +659,39 @@ impl Region {
         Ok(None)
     }
 
-    /// Materializes the active shards' entries in `start..=end` as one
-    /// sorted source. All shard locks are held together so the snapshot
-    /// is atomic across shards: a scan can never see a writer's later
-    /// write without its earlier one. (Writers hold exactly one shard
-    /// lock each, so this cannot deadlock against them.)
-    fn active_source(&self, start: &[u8], end: &[u8], snap: u64) -> Vec<BlockEntry> {
+    /// Materializes the active shards' entries in `ranges` as one sorted
+    /// source. All shard locks are held together so the snapshot is
+    /// atomic across shards: a scan can never see a writer's later write
+    /// without its earlier one. (Writers hold exactly one shard lock
+    /// each, so this cannot deadlock against them.)
+    fn active_source(&self, ranges: &[(Vec<u8>, Vec<u8>)], snap: u64) -> Vec<BlockEntry> {
         let guards: Vec<_> = self.shards.iter().map(|s| s.lock()).collect();
         let mut out = Vec::new();
         for g in &guards {
-            out.extend(g.scan(start, end, snap).map(|(k, v)| BlockEntry {
-                key: k.to_vec(),
-                value: v.map(|v| v.to_vec()),
-            }));
+            for (start, end) in ranges {
+                out.extend(g.scan(start, end, snap).map(|(k, v)| BlockEntry {
+                    key: k.to_vec(),
+                    value: v.map(|v| v.to_vec()),
+                }));
+            }
         }
         drop(guards);
-        // Shards partition the keyspace, so entries are unique; a plain
-        // sort restores global key order.
+        // Shards partition the keyspace and the ranges are disjoint, so
+        // entries are unique; a plain sort restores global key order.
         out.sort_unstable_by(|a, b| a.key.cmp(&b.key));
         out
     }
 
-    /// One frozen generation's entries in `start..=end`, sorted.
-    fn frozen_source(gen: &FrozenGen, start: &[u8], end: &[u8], snap: u64) -> Vec<BlockEntry> {
+    /// One frozen generation's entries in `ranges`, sorted.
+    fn frozen_source(gen: &FrozenGen, ranges: &[(Vec<u8>, Vec<u8>)], snap: u64) -> Vec<BlockEntry> {
         let mut out = Vec::new();
         for mem in &gen.shards {
-            out.extend(mem.scan(start, end, snap).map(|(k, v)| BlockEntry {
-                key: k.to_vec(),
-                value: v.map(|v| v.to_vec()),
-            }));
+            for (start, end) in ranges {
+                out.extend(mem.scan(start, end, snap).map(|(k, v)| BlockEntry {
+                    key: k.to_vec(),
+                    value: v.map(|v| v.to_vec()),
+                }));
+            }
         }
         out.sort_unstable_by(|a, b| a.key.cmp(&b.key));
         out
@@ -715,7 +719,14 @@ impl Region {
         if start > end {
             return MergeStream::empty();
         }
-        self.traffic.record_scan();
+        self.scan_ranges_at(one_range(start, end), snap)
+    }
+
+    /// [`Region::scan_stream_at`] over several key ranges in one pass:
+    /// `ranges` must be ascending and disjoint, and the merge yields
+    /// their concatenated entries.
+    pub(crate) fn scan_ranges_at(&self, ranges: KeyRanges, snap: u64) -> MergeStream {
+        self.traffic.record_scans(ranges.len() as u64);
         let inner = self.inner.read();
         let mut sources =
             Vec::with_capacity(inner.tables.len() + inner.frozen.len() + inner.held.len() + 1);
@@ -723,13 +734,13 @@ impl Region {
         // merge ties; frozen generations follow newest-first. The ranges
         // are materialized (bounded by the flush threshold) because the
         // stream outlives the locks.
-        sources.push(ScanSource::mem(self.active_source(start, end, snap)));
+        sources.push(ScanSource::mem(self.active_source(&ranges, snap)));
         for gen in inner.frozen.iter().rev() {
-            sources.push(ScanSource::mem(Self::frozen_source(gen, start, end, snap)));
+            sources.push(ScanSource::mem(Self::frozen_source(gen, &ranges, snap)));
         }
         for gen in inner.held.iter().rev() {
             if gen.seq_ub > snap {
-                sources.push(ScanSource::mem(Self::frozen_source(gen, start, end, snap)));
+                sources.push(ScanSource::mem(Self::frozen_source(gen, &ranges, snap)));
             }
         }
         for table in inner.tables.iter().rev() {
@@ -739,8 +750,7 @@ impl Region {
             }
             sources.push(ScanSource::sstable(
                 table.clone(),
-                start,
-                end,
+                ranges.clone(),
                 Some(self.traffic.clone()),
             ));
         }
@@ -756,7 +766,7 @@ impl Region {
             .iter()
             .rev()
             .filter(|t| t.block_count() > 0)
-            .map(|t| ScanSource::sstable(t.clone(), &[], t.max_key(), None))
+            .map(|t| ScanSource::sstable(t.clone(), one_range(&[], t.max_key()), None))
             .collect();
         MergeStream::new(sources, None)
     }

@@ -46,7 +46,7 @@
 //! # std::fs::remove_dir_all(&dir).ok();
 //! ```
 
-use crate::block::BlockEntry;
+use crate::block::{Block, BlockCursor, BlockEntry};
 use crate::error::Result;
 use crate::metrics::IoMetrics;
 use crate::region::{Region, RegionTraffic, Snapshot};
@@ -103,79 +103,117 @@ impl Default for ScanOptions {
     }
 }
 
-/// Lazy in-order iterator over one SSTable's entries in `[start, end]`
-/// (tombstones included), decoding one block per refill instead of the
-/// whole range.
+/// The inclusive key ranges one [`MergeStream`] walks, ascending and
+/// disjoint, shared by all of its sources.
+pub(crate) type KeyRanges = Arc<[(Vec<u8>, Vec<u8>)]>;
+
+/// `[start, end]` as a one-range [`KeyRanges`].
+pub(crate) fn one_range(start: &[u8], end: &[u8]) -> KeyRanges {
+    Arc::new([(start.to_vec(), end.to_vec())])
+}
+
+/// Lazy in-order iterator over one SSTable's entries in a list of key
+/// ranges (tombstones included), decoding one block per refill instead
+/// of whole ranges. Consecutive ranges often start inside the block the
+/// previous one ended in; with a block cache, that block is re-seeked
+/// from where the last range stopped rather than fetched again, so a
+/// narrow range costs a few key comparisons rather than a block fetch.
 struct SstRangeIter {
     table: Arc<SsTable>,
-    start: Vec<u8>,
-    end: Vec<u8>,
-    /// Next block index to fetch.
-    next_block: usize,
-    /// The first fetched block seeks to `start`; later blocks begin past
-    /// it by construction. Also marks the fetch as a disk seek.
-    first: bool,
+    ranges: KeyRanges,
+    /// Index of the range being walked.
+    range: usize,
+    /// Next block to fetch in the current range; `None` before its first
+    /// fetch, which seeks to the range start (and counts as a disk seek).
+    next_block: Option<usize>,
+    /// Whether the current range's end key has been passed.
+    range_done: bool,
+    /// The last block fetched, with its index and where the walk
+    /// stopped in it.
+    held: Option<(usize, Block, BlockCursor)>,
     buffered: std::vec::IntoIter<BlockEntry>,
-    done: bool,
     /// Region charged with every block this iterator decodes; `None`
     /// for maintenance merges, which are not region scan traffic.
     traffic: Option<Arc<RegionTraffic>>,
 }
 
 impl SstRangeIter {
-    fn new(
-        table: Arc<SsTable>,
-        start: &[u8],
-        end: &[u8],
-        traffic: Option<Arc<RegionTraffic>>,
-    ) -> Self {
-        let done = !table.overlaps(start, end);
-        if done {
-            // Pruned by the min/max fence: no block touched.
-            table.metrics().record_index_skip();
-        }
-        let next_block = if done { 0 } else { table.seek_block(start) };
+    fn new(table: Arc<SsTable>, ranges: KeyRanges, traffic: Option<Arc<RegionTraffic>>) -> Self {
         SstRangeIter {
             table,
-            start: start.to_vec(),
-            end: end.to_vec(),
-            next_block,
-            first: true,
+            ranges,
+            range: 0,
+            next_block: None,
+            range_done: false,
+            held: None,
             buffered: Vec::new().into_iter(),
-            done,
             traffic,
         }
+    }
+
+    /// Moves on to the next range.
+    fn next_range(&mut self) {
+        self.range += 1;
+        self.next_block = None;
+        self.range_done = false;
     }
 
     fn next(&mut self) -> Result<Option<BlockEntry>> {
         loop {
             if let Some(entry) = self.buffered.next() {
-                if entry.key.as_slice() > self.end.as_slice() {
-                    self.done = true;
-                    self.buffered = Vec::new().into_iter();
-                    return Ok(None);
-                }
                 return Ok(Some(entry));
             }
-            if self.done
-                || self.next_block >= self.table.block_count()
-                || self.table.block_first_key(self.next_block) > self.end.as_slice()
-            {
-                self.done = true;
+            let Some((start, end)) = self.ranges.get(self.range) else {
                 return Ok(None);
-            }
-            let block = self.table.read_block(self.next_block, self.first)?;
-            if let Some(traffic) = &self.traffic {
-                traffic.record_scan_block();
-            }
-            let entries: Vec<BlockEntry> = if self.first {
-                block.seek_iter(&self.start).collect()
-            } else {
-                block.iter().collect()
             };
-            self.first = false;
-            self.next_block += 1;
-            self.buffered = entries.into_iter();
+            let idx = match (self.next_block, &self.held) {
+                (Some(idx), _) => idx,
+                (None, _) if !self.table.overlaps(start, end) => {
+                    // Pruned by the min/max fence: no block touched.
+                    self.table.metrics().record_index_skip();
+                    self.next_range();
+                    continue;
+                }
+                // Ranges ascend: the next one usually starts in the block
+                // the last one stopped in.
+                (None, Some((held, ..))) if self.table.block_holds(*held, start) => *held,
+                (None, _) => self.table.seek_block(start),
+            };
+            if self.range_done
+                || idx >= self.table.block_count()
+                || self.table.block_first_key(idx) > end.as_slice()
+            {
+                self.next_range();
+                continue;
+            }
+            let seek = self.next_block.is_none();
+            // The held block stands in for a block-cache hit, so a store
+            // without a block cache fetches it again, from disk.
+            let (block, cursor) = match self.held.take() {
+                Some((held, block, cursor)) if held == idx && self.table.caches_blocks() => {
+                    (block, cursor)
+                }
+                _ => {
+                    let block = self.table.read_block(idx, seek)?;
+                    if let Some(traffic) = &self.traffic {
+                        traffic.record_scan_block();
+                    }
+                    (block, BlockCursor::default())
+                }
+            };
+            // Decode up to the range end only: the first key past it
+            // ends the range, and nothing after it is copied out.
+            let mut entries = if seek {
+                block.seek_from(cursor, start)
+            } else {
+                block.iter()
+            }
+            .until(end);
+            self.buffered = entries.by_ref().collect::<Vec<_>>().into_iter();
+            self.range_done = entries.past_end_key();
+            let cursor = entries.into_cursor();
+            self.next_block = Some(idx + 1);
+            self.held = Some((idx, block, cursor));
         }
     }
 }
@@ -198,13 +236,10 @@ impl ScanSource {
 
     pub(crate) fn sstable(
         table: Arc<SsTable>,
-        start: &[u8],
-        end: &[u8],
+        ranges: KeyRanges,
         traffic: Option<Arc<RegionTraffic>>,
     ) -> Self {
-        ScanSource(SourceKind::Sst(SstRangeIter::new(
-            table, start, end, traffic,
-        )))
+        ScanSource(SourceKind::Sst(SstRangeIter::new(table, ranges, traffic)))
     }
 
     fn next(&mut self) -> Result<Option<BlockEntry>> {
@@ -427,7 +462,8 @@ impl ScanStream {
                 Some(s) => s,
                 None => match self.pending.pop_front() {
                     Some((region, start, end, snap)) => {
-                        self.current = Some(region.scan_stream_at(&start, &end, snap));
+                        let ranges = self.next_group(&region, (start, end), snap);
+                        self.current = Some(region.scan_ranges_at(ranges, snap));
                         self.current.as_mut().expect("just set")
                     }
                     None => {
@@ -450,6 +486,30 @@ impl ScanStream {
         }
         self.metrics.record_batch_emitted(bytes);
         Ok(Some(batch))
+    }
+
+    /// `first` plus the pending ranges right behind it that one merge
+    /// can walk in the same pass: same region and snapshot, each starting
+    /// past the previous one's end. Their concatenated output is the
+    /// merge's output, so the per-range cost — region lock, memtable
+    /// snapshot, one iterator and one block fetch per SSTable — is paid
+    /// once per group.
+    fn next_group(
+        &mut self,
+        region: &Arc<Region>,
+        first: (Vec<u8>, Vec<u8>),
+        snap: u64,
+    ) -> KeyRanges {
+        let mut group = vec![first];
+        while let Some((next, start, _, next_snap)) = self.pending.front() {
+            let last_end = &group.last().expect("non-empty").1;
+            if !Arc::ptr_eq(next, region) || *next_snap != snap || start <= last_end {
+                break;
+            }
+            let (_, start, end, _) = self.pending.pop_front().expect("peeked");
+            group.push((start, end));
+        }
+        group.into()
     }
 
     /// Drains every remaining entry into one vector.

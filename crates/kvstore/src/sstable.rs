@@ -42,6 +42,7 @@ use crate::bloom::{bloom_hash, BloomFilter};
 use crate::cache::{next_file_id, BlockCache};
 use crate::error::{KvError, Result};
 use crate::metrics::IoMetrics;
+use just_compress::crc32::crc32;
 use just_compress::Codec;
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
@@ -121,37 +122,6 @@ impl Default for SstOptions {
             bloom_bits_per_key: 10,
         }
     }
-}
-
-/// Table-driven CRC-32 (IEEE polynomial), computed at compile time; kept
-/// local so the store has no dependency on the compression crate. Block
-/// reads checksum every 4 KiB fetched, so this is on the hot read path.
-const CRC_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut crc = i as u32;
-        let mut bit = 0;
-        while bit < 8 {
-            crc = if crc & 1 != 0 {
-                (crc >> 1) ^ 0xEDB8_8320
-            } else {
-                crc >> 1
-            };
-            bit += 1;
-        }
-        table[i] = crc;
-        i += 1;
-    }
-    table
-};
-
-fn crc32(data: &[u8]) -> u32 {
-    let mut crc = 0xFFFF_FFFFu32;
-    for &b in data {
-        crc = (crc >> 8) ^ CRC_TABLE[((crc ^ u32::from(b)) & 0xff) as usize];
-    }
-    crc ^ 0xFFFF_FFFF
 }
 
 #[derive(Debug, Clone)]
@@ -677,7 +647,7 @@ impl SsTable {
         // count as block reads.
         if let Some(cached) = self.cache.get(self.file_id, idx) {
             self.metrics.record_cache_hit();
-            return Ok(Block::new(cached.as_ref().clone(), self.format));
+            return Ok(Block::shared(cached, self.format));
         }
         let meta = &self.blocks[idx];
         let mut buf = vec![0u8; meta.len as usize];
@@ -699,14 +669,14 @@ impl SsTable {
         } else {
             buf
         };
-        let block = Block::new(data.clone(), self.format);
+        let block = Block::new(data, self.format);
         if !block.validate() {
             return Err(KvError::Corrupt(format!(
                 "{}: block {idx} framing invalid",
                 self.path.display()
             )));
         }
-        self.cache.put(self.file_id, idx, Arc::new(data));
+        self.cache.put(self.file_id, idx, block.shared_bytes());
         Ok(block)
     }
 
@@ -729,6 +699,23 @@ impl SsTable {
     /// Largest key in the table (empty for an empty table).
     pub(crate) fn max_key(&self) -> &[u8] {
         &self.max_key
+    }
+
+    /// Whether this table's blocks go through a block cache (a store
+    /// opened with `block_cache_bytes = 0` reads every block from disk).
+    pub(crate) fn caches_blocks(&self) -> bool {
+        self.cache.enabled()
+    }
+
+    /// Whether `key` falls inside block `idx`'s key span (at or after
+    /// its first key, before the next block's): the block
+    /// [`SsTable::seek_block`] would return, checked in two comparisons.
+    pub(crate) fn block_holds(&self, idx: usize, key: &[u8]) -> bool {
+        self.blocks[idx].first_key.as_slice() <= key
+            && self
+                .blocks
+                .get(idx + 1)
+                .is_none_or(|next| key < next.first_key.as_slice())
     }
 
     /// Index of the first block that could contain `key`.
@@ -768,12 +755,12 @@ impl SsTable {
 mod tests {
     use super::*;
     use crate::block::BlockEntry;
-    use crate::scan::{MergeStream, ScanSource};
+    use crate::scan::{one_range, MergeStream, ScanSource};
 
     /// Every entry of `t` in `[start, end]`, tombstones included, through
     /// the scan pipeline's block walk.
     fn scan(t: &Arc<SsTable>, start: &[u8], end: &[u8]) -> Result<Vec<BlockEntry>> {
-        let source = ScanSource::sstable(t.clone(), start, end, None);
+        let source = ScanSource::sstable(t.clone(), one_range(start, end), None);
         let mut merge = MergeStream::new(vec![source], None);
         let mut out = Vec::new();
         while let Some(entry) = merge.next_version()? {
@@ -863,6 +850,37 @@ mod tests {
             assert_eq!(hits.len(), 100, "{label}");
             assert_eq!(hits[0].key, b"key-000100");
             assert_eq!(hits[99].key, b"key-000199");
+            std::fs::remove_dir_all(dir).ok();
+        }
+    }
+
+    #[test]
+    fn a_range_ending_mid_block_stops_at_its_end() {
+        for (label, opts) in all_variants() {
+            let dir = tmpdir(&format!("mid-block-{label}"));
+            let t = build_opts(&dir, 1000, opts);
+            // Ends on a key, between two keys, and before the first key
+            // of the next block, each mid-block for 256-byte blocks.
+            for (start, end) in [
+                (&b"key-000100"[..], &b"key-000150"[..]),
+                (b"key-000100", b"key-000150~"),
+                (b"key-000433", b"key-000433"),
+                (b"key-000000", b"key-000009"),
+            ] {
+                let before = t.metrics().snapshot();
+                let hits = scan(&t, start, end).unwrap();
+                let blocks = t.metrics().snapshot().blocks_read - before.blocks_read;
+                let want: Vec<Vec<u8>> = (0..1000)
+                    .map(|i| format!("key-{i:06}").into_bytes())
+                    .filter(|k| start <= k.as_slice() && k.as_slice() <= end)
+                    .collect();
+                let got: Vec<Vec<u8>> = hits.iter().map(|e| e.key.clone()).collect();
+                assert_eq!(got, want, "{label}");
+                assert!(hits.iter().all(|e| e.value.is_some()), "{label}");
+                // Exactly the blocks the range spans are read.
+                let spanned = t.seek_block(end) - t.seek_block(start) + 1;
+                assert_eq!(blocks, spanned as u64, "{label} [{start:?}, {end:?}]");
+            }
             std::fs::remove_dir_all(dir).ok();
         }
     }
